@@ -1,13 +1,14 @@
-"""Hot rotation kernels with a numba fast path and a pure-numpy fallback.
+"""Plane rotation kernels with a numba fast path and a pure-numpy fallback.
 
 A plane rotation by the 2x2 Givens block
 
     G = [[c, -s], [conj(s), c]],   c = cos(phi),  s = exp(i*alpha)*sin(phi),
 
 applied as a similarity G^H A G touches two rows and two columns of A.  These
-updates run once per pivot inside the Jacobi sweep, so they dominate the
-solver runtime.  The numba versions fuse the row and column passes into tight
-loops; the numpy versions use vectorized slicing.
+updates run once per applied pivot inside the Jacobi sweep; at small n the
+per-pivot angle solve costs more than they do.  The numba versions fuse the
+row and column passes into tight loops; the numpy versions use vectorized
+slicing.
 
 Backend selection happens at import time:
 
@@ -25,16 +26,28 @@ import numpy as np
 _FORCE_NUMPY = os.environ.get("STRUCTNORM_PURE_NUMPY", "") == "1"
 
 
+# Each new row or column is built in place as c*x_p + s*x_q (and its mate),
+# with the scalar on the left: the same operands in the same order as the
+# one-line expression, so the result is bitwise the same.
+
 def _rotate_rows_numpy(a, p, q, c, s):
-    rp = c * a[p, :] + s * a[q, :]
-    a[q, :] = -np.conj(s) * a[p, :] + c * a[q, :]
-    a[p, :] = rp
+    xp, xq = a[p], a[q]
+    rp = c * xp
+    rp += s * xq
+    rq = -s.conjugate() * xp
+    rq += c * xq
+    xp[...] = rp
+    xq[...] = rq
 
 
 def _rotate_cols_numpy(a, p, q, c, s):
-    cp = c * a[:, p] + np.conj(s) * a[:, q]
-    a[:, q] = -s * a[:, p] + c * a[:, q]
-    a[:, p] = cp
+    xp, xq = a[:, p], a[:, q]
+    rp = c * xp
+    rp += s.conjugate() * xq
+    rq = -s * xp
+    rq += c * xq
+    xp[...] = rp
+    xq[...] = rq
 
 
 def _similarity_numpy(a, p, q, c, s):

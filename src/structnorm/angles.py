@@ -22,12 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 _QUARTER_PI = math.pi / 4
 _HALF_PI = math.pi / 2
+_EIGHTH_PI = math.pi / 8
 _DOMAIN_EPS = 1e-12
+# open-closed angle domains, widened by _DOMAIN_EPS
+_PHI_LO, _PHI_HI = -_QUARTER_PI - _DOMAIN_EPS, _QUARTER_PI + _DOMAIN_EPS
+_ALPHA_LO, _ALPHA_HI = -_HALF_PI - _DOMAIN_EPS, _HALF_PI + _DOMAIN_EPS
+# pivots whose largest part lies in this range are solved unscaled
+_SCALE_LO, _SCALE_HI = 2.0 ** -32, 2.0 ** 32
 
 
 class DegenerateCubicError(ValueError):
@@ -48,8 +55,8 @@ class AngleProblem:
     def from_matrix(cls, a: np.ndarray, i: int, j: int,
                     fixed_alpha: float | None = None) -> "AngleProblem":
         """Extract the pivot submatrix at 1-based plane labels (i, j)."""
-        return cls(complex(a[i - 1, i - 1]), complex(a[i - 1, j - 1]),
-                   complex(a[j - 1, i - 1]), complex(a[j - 1, j - 1]),
+        p, q = i - 1, j - 1
+        return cls(a.item(p, p), a.item(p, q), a.item(q, p), a.item(q, q),
                    fixed_alpha)
 
 
@@ -65,8 +72,7 @@ class AngleSolution:
 class CubicCoefficients:
     """Real cubic c3*tau^3 + c2*tau^2 + c1*tau + c0 in tau = tan(alpha).
 
-    Also carries the coefficient functions of the quadratic in tan(2*phi),
-    used to recover phi from each root: tan(2*phi) = -k1(alpha) / k2(alpha).
+    Also carries the invariants (s1, s2, s3, p, q) it was built from.
     """
 
     c3: float
@@ -78,12 +84,6 @@ class CubicCoefficients:
     s3: float
     p: float
     q: float
-
-    def k1(self, alpha: float) -> float:
-        return self.s2 * math.cos(alpha) - self.s1 * math.sin(alpha)
-
-    def k2(self, alpha: float) -> float:
-        return 2.0 * (self.q * math.cos(2 * alpha) - self.p * math.sin(2 * alpha))
 
     @property
     def is_degenerate(self) -> bool:
@@ -139,18 +139,19 @@ def eval_g(problem: AngleProblem, phi, alpha):
 
 def cubic_coefficients(problem: AngleProblem) -> CubicCoefficients:
     """Coefficients of the interior-stationarity cubic in tan(alpha)."""
-    s1, s2, s3, p, q = _invariants(problem)
+    inv = _invariants(problem)
+    return CubicCoefficients(*_cubic_terms(*inv), *inv)
+
+
+def _cubic_terms(s1, s2, s3, p, q):
+    """(c3, c2, c1, c0) of the interior-stationarity cubic."""
     c3 = 4 * p * q * s1 + 4 * q * q * s2 - 2 * q * s1 * s3 - s1 * s1 * s2
     c2 = (8 * p * p * s1 + 12 * p * q * s2 - 4 * p * s1 * s3 - 4 * q * q * s1
           + 2 * q * s2 * s3 - s1 ** 3 + 2 * s1 * s2 * s2)
     c1 = (8 * p * p * s2 - 12 * p * q * s1 + 4 * p * s2 * s3 - 4 * q * q * s2
           + 2 * q * s1 * s3 + 2 * s1 * s1 * s2 - s2 ** 3)
     c0 = -4 * p * q * s2 + 4 * q * q * s1 - 2 * q * s2 * s3 - s1 * s2 * s2
-    return CubicCoefficients(c3, c2, c1, c0, s1, s2, s3, p, q)
-
-
-def _cubic_value(c3, c2, c1, c0, t):
-    return ((c3 * t + c2) * t + c1) * t + c0
+    return c3, c2, c1, c0
 
 
 def cubic_real_roots(coeffs: CubicCoefficients) -> list[float]:
@@ -160,13 +161,17 @@ def cubic_real_roots(coeffs: CubicCoefficients) -> list[float]:
     raises DegenerateCubicError (the caller falls back to the explicit-angle
     candidates).
     """
-    scale = max(abs(coeffs.c3), abs(coeffs.c2), abs(coeffs.c1), abs(coeffs.c0))
+    return _real_roots(coeffs.c3, coeffs.c2, coeffs.c1, coeffs.c0)
+
+
+def _real_roots(c3, c2, c1, c0) -> list[float]:
+    scale = max(abs(c3), abs(c2), abs(c1), abs(c0))
     if scale == 0.0:
         raise DegenerateCubicError("all cubic coefficients are zero")
-    c3 = coeffs.c3 / scale
-    c2 = coeffs.c2 / scale
-    c1 = coeffs.c1 / scale
-    c0 = coeffs.c0 / scale
+    c3 = c3 / scale
+    c2 = c2 / scale
+    c1 = c1 / scale
+    c0 = c0 / scale
 
     eps = 1e-14
     if abs(c3) <= eps:
@@ -177,11 +182,14 @@ def cubic_real_roots(coeffs: CubicCoefficients) -> list[float]:
     polished = []
     for r in roots:
         for _ in range(3):
-            f = _cubic_value(c3, c2, c1, c0, r)
+            f = ((c3 * r + c2) * r + c1) * r + c0
             df = (3 * c3 * r + 2 * c2) * r + c1
-            if df == 0.0 or not math.isfinite(f / df):
+            if df == 0.0:
                 break
-            r = r - f / df
+            step = f / df
+            if not math.isfinite(step):
+                break
+            r = r - step
         polished.append(r)
 
     polished.sort()
@@ -234,19 +242,24 @@ def _cardano(b, c, d):
     return [m * math.cos(theta - 2 * math.pi * k / 3) + shift for k in (0, 1, 2)]
 
 
-def _in_phi_domain(phi: float) -> bool:
-    return -_QUARTER_PI - _DOMAIN_EPS < phi <= _QUARTER_PI + _DOMAIN_EPS
+def _trig(alpha):
+    """cos and sin of alpha and of 2 alpha, the values every alpha term uses."""
+    return math.cos(alpha), math.sin(alpha), math.cos(2 * alpha), math.sin(2 * alpha)
 
 
-def _in_alpha_domain(alpha: float) -> bool:
-    return -_HALF_PI - _DOMAIN_EPS < alpha <= _HALF_PI + _DOMAIN_EPS
+_TRIG_ZERO = _trig(0.0)
+_TRIG_QUARTER = _trig(_QUARTER_PI)
+_TRIG_MINUS_QUARTER = _trig(-_QUARTER_PI)
+_TRIG_HALF = _trig(_HALF_PI)
 
 
-def _phi_slope_coeffs(s1, s2, s3, p, q, alpha):
-    """(pc, qc) with d g / d phi = pc cos(4 phi) + qc sin(4 phi) at fixed alpha."""
-    pc = 2.0 * (s1 * math.cos(alpha) + s2 * math.sin(alpha))
-    qc = (s3 + 2.0 * math.cos(2 * alpha) * p + 2.0 * math.sin(2 * alpha) * q)
-    return pc, qc
+def _phi_slope_coeffs(s1, s2, s3, p, q, trig):
+    """(pc, qc) with d g / d phi = pc cos(4 phi) + qc sin(4 phi) at fixed alpha.
+
+    ``trig`` is ``_trig(alpha)``.
+    """
+    ca, sa, c2a, s2a = trig
+    return 2.0 * (s1 * ca + s2 * sa), s3 + 2.0 * c2a * p + 2.0 * s2a * q
 
 
 def _gain(pc, qc, phi):
@@ -263,81 +276,119 @@ def _gain(pc, qc, phi):
     return (pc * math.sin(4 * phi) + qc * 2.0 * s2p * s2p) / 4.0
 
 
-def _pick_best(problem: AngleProblem,
-               candidates: list[tuple[float, float, str]]) -> AngleSolution:
-    """Argmax of the analytic gain; near-ties prefer smaller |phi|, then |alpha|."""
-    s1, s2, s3, p, q = _invariants(problem)
-    scored = []
-    for phi, alpha, case in candidates:
-        pc, qc = _phi_slope_coeffs(s1, s2, s3, p, q, alpha)
-        scored.append((_gain(pc, qc, phi), phi, alpha, case))
-    best = max(s[0] for s in scored)
-    tied = [s for s in scored if s[0] >= best - 1e-9 * abs(best)]
-    _, phi, alpha, case = min(tied, key=lambda s: (abs(s[1]), abs(s[2])))
-    g_value = _g_formula(_parts(problem), phi, alpha, math)
-    g0 = _g_formula(_parts(problem), 0.0, 0.0, math)
-    return AngleSolution(phi, alpha, max(g_value, g0), case)
-
-
-def _stationary_phis(s1, s2, s3, p, q, alpha):
+def _stationary_phis(pc, qc):
     """Roots of d g / d phi = pc*cos(4 phi) + qc*sin(4 phi) at fixed alpha.
 
     All arctan branch mates inside the phi domain are returned.  This
     recovery is well conditioned in phi, unlike tan(2 phi) = -k1/k2, which
     degenerates when g barely depends on alpha (nearly symmetric pivots).
     """
-    pc, qc = _phi_slope_coeffs(s1, s2, s3, p, q, alpha)
     if pc == 0.0 and qc == 0.0:
-        return []
+        return ()
     f0 = 0.25 * math.atan2(-pc, qc)
     out = []
     for k in (-1, 0, 1):
         phi = f0 + k * _QUARTER_PI
-        if _in_phi_domain(phi):
+        if _PHI_LO < phi <= _PHI_HI:
             out.append(min(phi, _QUARTER_PI))
     return out
+
+
+def _rescaled(problem: AngleProblem) -> tuple[AngleProblem, int]:
+    """The problem times 2**-e and e, with e != 0 only for extreme scales.
+
+    The cubic coefficients are of degree 6 in the entries, so they overflow
+    or underflow far inside the float range.  When the largest real or
+    imaginary part lies outside [2**-32, 2**32], the entries are divided by
+    the power of two that brings it into [0.5, 1), which is exact and leaves
+    the angles unchanged.  Pivots inside that range are left as they are:
+    ``**`` is libm ``pow``, which is not exactly homogeneous, so rescaling
+    every pivot would move the last bits of ordinary solutions.
+    """
+    big = max(map(abs, _parts(problem)))
+    if _SCALE_LO <= big <= _SCALE_HI:
+        return problem, 0
+    e = math.frexp(big)[1]
+
+    def down(z):
+        return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
+
+    return AngleProblem(down(problem.a_ii), down(problem.a_ij),
+                        down(problem.a_ji), down(problem.a_jj),
+                        problem.fixed_alpha), e
+
+
+def _pick(problem: AngleProblem, scale_exp: int,
+          scored: list[tuple[float, float, float, str]]):
+    """Argmax of the analytic gain; near-ties prefer smaller |phi|, then |alpha|.
+
+    Returns (phi, alpha, g_value, case), with g_value scaled back by
+    4**scale_exp to the caller's problem.
+    """
+    best = max(scored, key=itemgetter(0))[0]
+    tied = [s for s in scored if s[0] >= best - 1e-9 * abs(best)]
+    _, phi, alpha, case = min(tied, key=lambda s: (abs(s[1]), abs(s[2])))
+    parts = _parts(problem)
+    x_ii, y_ii, x_jj, y_jj = parts[:4]
+    # _g_formula at phi = alpha = 0, where it reduces to exactly this sum
+    g0 = x_ii ** 2 + y_ii ** 2 + x_jj ** 2 + y_jj ** 2
+    g_value = max(_g_formula(parts, phi, alpha, math), g0)
+    return phi, alpha, math.ldexp(g_value, 2 * scale_exp), case
 
 
 def solve_angles(problem: AngleProblem) -> AngleSolution:
     """Maximize g over both angles (free-alpha mode, double embeddings)."""
     if problem.fixed_alpha is not None:
         raise ValueError("problem has fixed alpha; use solve_angles_fixed_alpha")
-    s1, s2, s3, p, q = _invariants(problem)
-    cands: list[tuple[float, float, str]] = [(0.0, 0.0, "trivial")]
+    problem, scale_exp = _rescaled(problem)
+    inv = _invariants(problem)
+    s1, s2, s3, p, q = inv
+    # every candidate is scored as it is found; the slope coefficients are
+    # computed once per distinct alpha
+    pc, qc = _phi_slope_coeffs(*inv, _TRIG_ZERO)
+    scored = [(_gain(pc, qc, 0.0), 0.0, 0.0, "trivial")]
 
     # phi = pi/4: stationarity in alpha gives tan(2 alpha) = q/p, or alpha = +-pi/4
-    alphas_q = [_QUARTER_PI, -_QUARTER_PI]
+    for alpha, trig in ((_QUARTER_PI, _TRIG_QUARTER),
+                        (-_QUARTER_PI, _TRIG_MINUS_QUARTER)):
+        scored.append((_gain(*_phi_slope_coeffs(*inv, trig), _QUARTER_PI),
+                       _QUARTER_PI, alpha, "phi_quarter"))
     if p != 0.0 or q != 0.0:
         a0 = 0.5 * math.atan2(q, p)
         for k in (-1, 0, 1):
             alpha = a0 + k * _HALF_PI
-            if _in_alpha_domain(alpha):
-                alphas_q.append(min(alpha, _HALF_PI))
-    for alpha in alphas_q:
-        cands.append((_QUARTER_PI, alpha, "phi_quarter"))
+            if _ALPHA_LO < alpha <= _ALPHA_HI:
+                alpha = min(alpha, _HALF_PI)
+                slope = _phi_slope_coeffs(*inv, _trig(alpha))
+                scored.append((_gain(*slope, _QUARTER_PI), _QUARTER_PI, alpha,
+                               "phi_quarter"))
 
     # alpha = pi/2: stationary phis, or phi = +-pi/8 when both terms vanish
-    cands.append((math.pi / 8, _HALF_PI, "alpha_half"))
-    cands.append((-math.pi / 8, _HALF_PI, "alpha_half"))
-    for phi in _stationary_phis(s1, s2, s3, p, q, _HALF_PI):
-        cands.append((phi, _HALF_PI, "alpha_half"))
+    pc, qc = _phi_slope_coeffs(*inv, _TRIG_HALF)
+    for phi in (_EIGHTH_PI, -_EIGHTH_PI, *_stationary_phis(pc, qc)):
+        scored.append((_gain(pc, qc, phi), phi, _HALF_PI, "alpha_half"))
 
     # interior points: tan(alpha) solves the cubic.  phi is recovered both
     # from tan(2 phi) = -k1/k2 and from the phi-stationarity branches, which
     # stay accurate when k1 and k2 are cancellation-dominated.  alpha = 0 is
     # seeded unconditionally for the same reason.
-    coeffs = cubic_coefficients(problem)
-    alphas_c = [0.0]
-    if not coeffs.is_degenerate:
-        alphas_c.extend(math.atan(tau) for tau in cubic_real_roots(coeffs))
-    for alpha in alphas_c:
-        k2 = coeffs.k2(alpha)
+    terms = _cubic_terms(*inv)
+    alphas_c = [(0.0, _TRIG_ZERO)]
+    if any(terms):  # an all-zero cubic makes every alpha stationary
+        for tau in _real_roots(*terms):
+            alpha = math.atan(tau)
+            alphas_c.append((alpha, _trig(alpha)))
+    for alpha, trig in alphas_c:
+        ca, sa, c2a, s2a = trig
+        pc, qc = _phi_slope_coeffs(*inv, trig)
+        k2 = 2.0 * (q * c2a - p * s2a)
         if k2 != 0.0:
-            cands.append((0.5 * math.atan(-coeffs.k1(alpha) / k2), alpha, "cubic"))
-        for phi in _stationary_phis(s1, s2, s3, p, q, alpha):
-            cands.append((phi, alpha, "cubic"))
+            phi = 0.5 * math.atan(-(s2 * ca - s1 * sa) / k2)
+            scored.append((_gain(pc, qc, phi), phi, alpha, "cubic"))
+        for phi in _stationary_phis(pc, qc):
+            scored.append((_gain(pc, qc, phi), phi, alpha, "cubic"))
 
-    return _pick_best(problem, cands)
+    return AngleSolution(*_pick(problem, scale_exp, scored))
 
 
 def solve_angles_fixed_alpha(problem: AngleProblem) -> AngleSolution:
@@ -345,13 +396,14 @@ def solve_angles_fixed_alpha(problem: AngleProblem) -> AngleSolution:
     alpha = problem.fixed_alpha
     if alpha is None:
         raise ValueError("problem has free alpha; use solve_angles")
-    s1, s2, s3, p, q = _invariants(problem)
-    phis = [0.0, _QUARTER_PI, math.pi / 8, -math.pi / 8]
-    phis.extend(_stationary_phis(s1, s2, s3, p, q, alpha))
-    cands = [(phi, alpha, "fixed_1d") for phi in phis]
-    sol = _pick_best(problem, cands)
-    return AngleSolution(sol.phi, alpha, sol.g_value,
-                         "trivial" if sol.phi == 0.0 else "fixed_1d")
+    problem, scale_exp = _rescaled(problem)
+    pc, qc = _phi_slope_coeffs(*_invariants(problem), _trig(alpha))
+    scored = [(_gain(pc, qc, phi), phi, alpha, "fixed_1d")
+              for phi in (0.0, _QUARTER_PI, _EIGHTH_PI, -_EIGHTH_PI,
+                          *_stationary_phis(pc, qc))]
+    phi, _, g_value, _ = _pick(problem, scale_exp, scored)
+    return AngleSolution(phi, alpha, g_value,
+                         "trivial" if phi == 0.0 else "fixed_1d")
 
 
 def grid_oracle(problem: AngleProblem, grid: int) -> tuple[float, float, float]:

@@ -10,9 +10,9 @@ Subcommands:
 * ``experiment`` convergence-study CSV suites (figures 1-4)
 
 Exit codes: 0 success (solve prints converged=0 as a warning flag when the
-sweep limit was hit), 1 verify residual above tolerance, 2 usage or file
-errors, 3 solve input failing its structure check.  The default seed is 0,
-overridable with the STRUCTNORM_SEED environment variable.
+sweep limit was hit), 1 verify residual above tolerance, 2 usage, file or
+numeric errors, 3 solve input failing its structure check.  The default seed
+is 0, overridable with the STRUCTNORM_SEED environment variable.
 """
 from __future__ import annotations
 
@@ -295,7 +295,7 @@ def main(argv=None) -> int:
     except jacobi.StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, jacobi.NonFiniteError) as exc:
+    except (ValueError, ArithmeticError) as exc:  # NonFiniteError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rotations import RotationKind, RotationSpec, check_pivot
+from .rotations import RotationSpec, check_pivot, planes
 from .structures import SYMPLECTIC, make_F, make_J
 
 
@@ -91,28 +91,6 @@ def eta(n: int) -> float:
     return 2.0 / math.sqrt(4.0 * n * n - 2.0 * n)
 
 
-def _plane_phase_derivatives(kind: RotationKind, alpha: float) -> list[complex]:
-    """d/dphi at phi = 0 of each plane's off-diagonal parameter s."""
-    e = complex(math.cos(alpha), math.sin(alpha))
-    if kind.is_single:
-        return [e]
-    if kind is RotationKind.SYMP_DIRECT_SUM:
-        return [e, e]
-    if kind is RotationKind.SYMP_CONCENTRIC:
-        return [e, e.conjugate()]
-    return [e, -e.conjugate()]
-
-
-def _plane_positions(kind: RotationKind, i: int, j: int, n: int) -> list[tuple[int, int]]:
-    if kind.is_single:
-        return [(i - 1, j - 1)]
-    if kind is RotationKind.SYMP_DIRECT_SUM:
-        return [(i - 1, j - 1), (n + i - 1, n + j - 1)]
-    if kind is RotationKind.SYMP_CONCENTRIC:
-        return [(i - 1, j - 1), (j - n - 1, n + i - 1)]
-    return [(i - 1, j - 1), (2 * n - j, 2 * n - i)]
-
-
 def pivot_gain(x: np.ndarray, spec: RotationSpec) -> float:
     """First-order objective gain |Re tr(X^H dR/dphi|_0)| of the pivot.
 
@@ -122,16 +100,17 @@ def pivot_gain(x: np.ndarray, spec: RotationSpec) -> float:
     yield 2|x_ij|.  sgn(0) is taken as 1 so a zero entry gives gain 0.
     """
     n = x.shape[0] // 2
-    check_pivot(spec.kind, spec.i, spec.j, n)
-    x_piv = complex(x[spec.i - 1, spec.j - 1])
-    alpha = spec.kind.fixed_alpha
+    kind, i, j = spec.kind, spec.i, spec.j
+    check_pivot(kind, i, j, n)
+    x_piv = complex(x[i - 1, j - 1])
+    alpha = kind.fixed_alpha
     if alpha is None:
         # e^{-i alpha} = conj(x)/|x|
         alpha = math.atan2(x_piv.imag, x_piv.real) if x_piv != 0 else 0.0
     total = 0.0
-    positions = _plane_positions(spec.kind, spec.i, spec.j, n)
-    phases = _plane_phase_derivatives(spec.kind, alpha)
-    for (p, q), ds in zip(positions, phases):
+    # each plane's s = e^{i alpha'} sin(phi) at phi = pi/2, where sin is
+    # exactly 1, is d s / d phi at phi = 0
+    for p, q, ds in planes(RotationSpec(kind, i, j, math.pi / 2, alpha), n):
         total += (np.conj(x[p, q]) * (-ds) + np.conj(x[q, p]) * np.conj(ds)).real
     return abs(float(total))
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from .angles import AngleProblem, solve_angles, solve_angles_fixed_alpha
 from .gradient import pivot_gain, should_skip, tangent_gradient
-from .rotations import RotationSpec, apply_right, apply_similarity, pivot_set, planes
+from .rotations import (RotationSpec, apply_right, apply_similarity,
+                        mirror_index, pivot_set)
 from .structures import (StructureTag, check_structure, diag_norm_sq,
                          offdiag_norm_sq)
 
@@ -107,6 +108,10 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
     n = a.shape[0] // 2
     family = tag.family
     pivots = pivot_set(family, n, config.ordering)
+    trace = config.trace
+    # (fixed alpha, single embedding) of each kind in the sweep
+    kinds = {kind: (kind.fixed_alpha, kind.is_single)
+             for kind in {kind for kind, _, _ in pivots}}
 
     x_sweep = None
     grad_norm = 0.0
@@ -118,35 +123,38 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
         if config.skip_rule:
             gain = pivot_gain(x_sweep, RotationSpec(kind, i, j, 0.0))
             if should_skip(gain, grad_norm, n):
-                _record(state, kind, i, j, 0.0, 0.0, skipped=True,
-                        config=config)
+                if trace:
+                    _record(state, kind, i, j, 0.0, 0.0, skipped=True)
                 continue
-        problem = AngleProblem.from_matrix(a, i, j, fixed_alpha=kind.fixed_alpha)
-        if kind.is_single:
+        fixed_alpha, single = kinds[kind]
+        problem = AngleProblem.from_matrix(a, i, j, fixed_alpha)
+        if single:
             sol = solve_angles_fixed_alpha(problem)
         else:
             sol = solve_angles(problem)
         if abs(sol.phi) < PHI_SKIP:
-            _record(state, kind, i, j, sol.phi, sol.alpha, skipped=True,
-                    config=config)
+            if trace:
+                _record(state, kind, i, j, sol.phi, sol.alpha, skipped=True)
             continue
         spec = RotationSpec(kind, i, j, sol.phi, sol.alpha)
         apply_similarity(a, spec)
         apply_right(z, spec)
-        for p, q, _ in planes(spec, n):
-            if not (np.isfinite(a[p, :]).all() and np.isfinite(a[q, :]).all()):
-                raise NonFiniteError(
-                    f"non-finite entries at sweep {state.sweep + 1}, "
-                    f"step {state.step}, pivot ({i}, {j})")
-        _record(state, kind, i, j, sol.phi, sol.alpha, skipped=False,
-                config=config)
+        # the rows of the rotation's planes: (p, q), and for a double
+        # rotation also their mirrors, where its second plane lies
+        p, q = i - 1, j - 1
+        rows = [p, q] if single else [p, q, mirror_index(family, p, n),
+                                      mirror_index(family, q, n)]
+        if not np.isfinite(a[rows]).all():
+            raise NonFiniteError(
+                f"non-finite entries at sweep {state.sweep + 1}, "
+                f"step {state.step}, pivot ({i}, {j})")
+        if trace:
+            _record(state, kind, i, j, sol.phi, sol.alpha, skipped=False)
     state.sweep += 1
     return state
 
 
-def _record(state, kind, i, j, phi, alpha, skipped, config):
-    if not config.trace:
-        return
+def _record(state, kind, i, j, phi, alpha, skipped):
     state.trace.append(TraceRecord(
         sweep=state.sweep + 1, step=state.step, kind=kind.value, i=i, j=j,
         phi=phi, alpha=alpha, diag_norm_sq=diag_norm_sq(state.a),

@@ -7,7 +7,8 @@ Format, one value per line after a single header line:
     ...
 
 Entries are stored in column-major order and printed with 17 significant
-digits, which round-trips IEEE binary64 values exactly.
+digits, which round-trips IEEE binary64 values exactly.  A file must hold
+exactly rows * cols finite entries.
 """
 from __future__ import annotations
 
@@ -58,4 +59,9 @@ def read_matrix(path) -> np.ndarray:
                 values[k] = complex(float(parts[0]), float(parts[1]))
             except ValueError as exc:
                 raise MatrixFileError(f"{path}: bad entry on line {k + 2}") from exc
+        if fh.read().strip():
+            raise MatrixFileError(f"{path}: data after the {rows * cols} entries")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise MatrixFileError(f"{path}: non-finite entry on line {bad[0] + 2}")
     return values.reshape((rows, cols), order="F")

@@ -106,6 +106,17 @@ def planes(spec: RotationSpec, n: int) -> list[tuple[int, int, complex]]:
     return [(i - 1, j - 1, s), (2 * n - j, 2 * n - i, -s.conjugate())]
 
 
+def mirror_index(family: str, k: int, n: int) -> int:
+    """The 0-based index that J (symplectic) or F (perplectic) pairs with k.
+
+    The second plane of a double rotation lies on the mirrors of the first
+    plane's indices; a single rotation's plane is its own mirror.
+    """
+    if family == SYMPLECTIC:
+        return (k + n) % (2 * n)
+    return 2 * n - 1 - k
+
+
 def _half_dim(dim: int) -> int:
     if dim < 2 or dim % 2 != 0:
         raise ValueError("rotations need an even dimension >= 2")

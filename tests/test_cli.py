@@ -67,6 +67,41 @@ def test_verify_failure_exits_1(tmp_path):
     assert float(proc.stdout.strip()) > 1e-10
 
 
+def test_non_finite_file_exits_2(tmp_path):
+    path = tmp_path / "nan.mat"
+    path.write_text("structnorm-matrix v1 2 1 complex\n0 0\nnan 0\n")
+    assert main(["verify", "--in", str(path), "--structure", "hamiltonian"]) == 2
+
+
+def test_arithmetic_error_exits_2(tmp_path, monkeypatch):
+    path = tmp_path / "h.mat"
+    sn.write_matrix(path, sn.gen_structured(sn.StructureTag.HAMILTONIAN, 2, 0))
+
+    def overflow(*args, **kwargs):
+        raise OverflowError("numerical result out of range")
+
+    monkeypatch.setattr(sn.jacobi, "solve", overflow)
+    assert main(["solve", "--in", str(path), "--structure", "hamiltonian",
+                 "--out-normal", str(tmp_path / "x.mat"),
+                 "--out-z", str(tmp_path / "z.mat")]) == 2
+
+
+def test_solve_huge_entries_exits_0(tmp_path, capsys):
+    # entries of 1e80 used to overflow the angle solve and exit 1
+    a = sn.gen_structured(sn.StructureTag.HAMILTONIAN, 3, 2)
+    summaries = []
+    for scale in (1.0, 1e80):
+        path = tmp_path / "a.mat"
+        sn.write_matrix(path, scale * a)
+        assert main(["solve", "--in", str(path), "--structure", "hamiltonian",
+                     "--out-normal", str(tmp_path / "x.mat"),
+                     "--out-z", str(tmp_path / "z.mat")]) == 0
+        summaries.append(_parse_summary(capsys.readouterr().out))
+    base, huge = summaries
+    assert huge["converged"] == 1.0
+    assert huge["distance"] == pytest.approx(1e80 * base["distance"], rel=1e-10)
+
+
 def test_verify_parse_error_exits_2(tmp_path):
     path = tmp_path / "junk.mat"
     path.write_text("not a matrix\n")

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import structnorm as sn
+from structnorm import jacobi
 
 TAGS = list(sn.StructureTag)
 
@@ -39,6 +42,45 @@ def test_solve_rejects_non_finite():
     a[0, 1] = np.nan
     with pytest.raises((sn.NonFiniteError, sn.StructureError)):
         sn.solve(a, sn.StructureTag.HAMILTONIAN)
+
+
+@pytest.mark.parametrize("plane", [0, -1])
+def test_non_finite_iterate_names_sweep_step_and_pivot(monkeypatch, plane):
+    # a nan written into a touched row (of the first plane, or of the mirror
+    # plane of a double rotation) stops the sweep at that pivot
+    tag = sn.StructureTag.PER_HERMITIAN
+    n = 3
+    a = sn.gen_structured(tag, n, 4)
+    original = jacobi.apply_similarity
+    first = []
+
+    def poisoned(m, spec):
+        original(m, spec)
+        if not first:
+            first.append(spec)
+            row = sn.rotations.planes(spec, n)[plane][1]
+            m[row, 0] = np.nan
+        return m
+
+    monkeypatch.setattr(jacobi, "apply_similarity", poisoned)
+    with pytest.raises(sn.NonFiniteError) as info:
+        sn.solve(a, tag)
+    spec = first[0]
+    step = sn.pivot_set(tag.family, n).index((spec.kind, spec.i, spec.j)) + 1
+    assert str(info.value) == (f"non-finite entries at sweep 1, step {step}, "
+                               f"pivot ({spec.i}, {spec.j})")
+
+
+@settings(max_examples=30, deadline=None)
+@given(tag=st.sampled_from(TAGS), n=st.integers(min_value=1, max_value=3),
+       seed=st.integers(min_value=0, max_value=10_000),
+       k=st.integers(min_value=-250, max_value=250))
+def test_solve_is_invariant_under_power_of_two_scaling(tag, n, seed, k):
+    a = sn.gen_structured(tag, n, seed)
+    base = sn.solve(a, tag)
+    scaled = sn.solve(a * 2.0 ** k, tag)
+    np.testing.assert_allclose(scaled.z, base.z, rtol=0, atol=1e-10)
+    assert scaled.distance == pytest.approx(2.0 ** k * base.distance, rel=1e-10)
 
 
 def test_structured_diagonal_input_needs_no_rotations():

@@ -46,6 +46,11 @@ def test_column_major_order(tmp_path):
     "structnorm-matrix v1 1 1 complex\n0\n",          # missing imag part
     "structnorm-matrix v1 1 1 complex\nx y\n",        # non-numeric
     "structnorm-matrix v1 0 1 complex\n",             # bad dims
+    "structnorm-matrix v1 1 1 complex\n0 0\n1 2\n",   # trailing entry
+    "structnorm-matrix v1 1 1 complex\n0 0\nx\n",     # trailing junk
+    "structnorm-matrix v1 1 1 complex\nnan 0\n",      # non-finite
+    "structnorm-matrix v1 2 1 complex\n0 0\n0 inf\n",
+    "structnorm-matrix v1 1 1 complex\n-inf 0\n",
 ])
 def test_rejects_malformed_files(tmp_path, content):
     path = tmp_path / "bad.mat"

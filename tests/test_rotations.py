@@ -192,6 +192,17 @@ def test_pivot_set_covers_upper_triangle_with_mirrors(family):
     assert len(covered) == len(expected)  # each position exactly once
 
 
+@pytest.mark.parametrize("family", [sn.SYMPLECTIC, sn.PERPLECTIC])
+def test_mirror_index_gives_the_rows_of_every_plane(family):
+    for n in (1, 2, 3, 5):
+        for kind, i, j in sn.pivot_set(family, n):
+            spec = sn.RotationSpec(kind, i, j, 0.3, 0.2)
+            rows = {r for p, q, _ in sn.rotations.planes(spec, n) for r in (p, q)}
+            mirrored = {r for k in (i - 1, j - 1)
+                        for r in (k, sn.rotations.mirror_index(family, k, n))}
+            assert mirrored == rows
+
+
 def test_same_orderings_same_positions():
     o1 = set(sn.pivot_set(sn.SYMPLECTIC, 4, "O1"))
     o2 = set(sn.pivot_set(sn.SYMPLECTIC, 4, "O2"))

@@ -1,0 +1,122 @@
+"""Compare the outputs of two source trees on the benchmark's workloads.
+
+Run from the repository root:
+
+    python3 tools/compare_outputs.py PARENT_TREE CHANGED_TREE --seeds 1-10,90001
+
+Each tree is a checkout with ``src/structnorm``.  For every seed, one pass of
+each workload in ``perfbench/workloads.py`` (this repository's copy, so both
+trees run the same benchmark code) is run against each tree, each tree in
+its own subprocess, the two side by side.  Every operation's output fingerprint is hashed with
+sha256 and printed with the checks it failed.  The exit status is 0 when both
+trees give the same hashes and the same failed checks for every operation,
+1 when any differ, and 2 when a tree cannot be run.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"1-3,7"`` -> ``[1, 2, 3, 7]``."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_tree(tree: Path, seeds: list[int]) -> list[dict]:
+    """One pass of every workload per seed against ``tree``, as records.
+
+    Runs in the calling process, which must not have imported structnorm.
+    """
+    src = (tree / "src").resolve()
+    sys.path.insert(0, str(src))
+    sys.path.insert(0, str(PERFBENCH))
+    import structnorm as sn
+    import workloads
+
+    if Path(sn.__file__).resolve().parent.parent != src:
+        raise RuntimeError(f"structnorm imported from {sn.__file__}, not {src}")
+    records = []
+    for seed in seeds:
+        for name, cls in workloads.WORKLOADS.items():
+            work = cls(sn, seed)
+            with tempfile.TemporaryDirectory() as rep_dir:
+                work.setup(Path(rep_dir))
+                ctx: dict = {}
+                for op in work.ops():
+                    try:
+                        outcome = op.check(op.execute(), ctx)
+                        digest = hashlib.sha256(outcome.fingerprint).hexdigest()
+                        problems = outcome.problems
+                    except Exception as exc:  # a failed operation, not a failed run
+                        digest, problems = "-", [f"raised {exc!r}"]
+                    records.append({"workload": name, "seed": seed,
+                                    "op": op.label, "sha256": digest,
+                                    "problems": problems})
+    return records
+
+
+def _spawn(tree: Path, seeds: list[int]) -> subprocess.Popen:
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    return subprocess.Popen(
+        [sys.executable, __file__, "--worker", str(tree),
+         "--seeds", ",".join(map(str, seeds))],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+
+
+def _collect(tree: Path, proc: subprocess.Popen) -> list[dict]:
+    out, err = proc.communicate()
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree}: worker exited {proc.returncode}:\n{err}")
+    return json.loads(out.splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("trees", nargs="*", type=Path, metavar="TREE")
+    parser.add_argument("--seeds", type=parse_seeds, default=[1])
+    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker is not None:
+        print(json.dumps(run_tree(args.worker, args.seeds)))
+        return 0
+    if len(args.trees) != 2:
+        parser.error("give exactly two trees")
+    procs = [_spawn(tree, args.seeds) for tree in args.trees]  # run side by side
+    try:
+        runs = [_collect(tree, proc) for tree, proc in zip(args.trees, procs)]
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    differ = 0
+    for a, b in zip(*runs):
+        same = a["sha256"] == b["sha256"] and a["problems"] == b["problems"]
+        differ += not same
+        print(f"{'same' if same else 'DIFF'}  {a['workload']:<15} seed {a['seed']:<6} "
+              f"{a['op']:<40} {a['sha256'][:16]} {b['sha256'][:16]}")
+        for side, rec in zip("AB", (a, b)):
+            for problem in rec["problems"]:
+                print(f"      {side} failed: {problem}")
+    if len(runs[0]) != len(runs[1]):
+        print(f"operation counts differ: {len(runs[0])} and {len(runs[1])}")
+        differ += 1
+    print(f"{len(runs[0])} operations, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
