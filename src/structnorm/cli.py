@@ -76,7 +76,8 @@ def cmd_solve(args) -> int:
             3, f"input is not {tag.value}: residual {_fmt(resid)} > 1e-10")
     config = jacobi.SolverConfig(ordering=args.ordering.upper(), tol=args.tol,
                                  max_sweeps=args.max_sweeps,
-                                 skip_rule=args.skip_rule)
+                                 skip_rule=args.skip_rule,
+                                 trace=args.trace is not None)
     result = jacobi.solve(a, tag, config)
     try:
         write_matrix(args.out_normal, result.x)
@@ -129,27 +130,26 @@ def cmd_normality(args) -> int:
     return 0
 
 
-def _sweep_series(a, tag, sweeps, ordering):
-    """Per-sweep (diag, offdiag, frob) norms, sweep 0 = the input."""
+def _iterates(a, tag, sweeps, ordering="O1"):
+    """The iterate before the first sweep and after each of ``sweeps`` sweeps.
+
+    Every item is the same array, updated in place by the next sweep.
+    """
     config = jacobi.SolverConfig(ordering=ordering, trace=False)
     state = jacobi.JacobiState(a=np.array(a, dtype=np.complex128),
                                z=np.eye(a.shape[0], dtype=np.complex128))
-    rows = [(0, diag_norm_sq(state.a) ** 0.5, offdiag_norm_sq(state.a) ** 0.5,
-             frob_norm(state.a))]
-    for k in range(1, sweeps + 1):
+    yield state.a
+    for _ in range(sweeps):
         jacobi.sweep_once(state, tag, config)
-        rows.append((k, diag_norm_sq(state.a) ** 0.5,
-                     offdiag_norm_sq(state.a) ** 0.5, frob_norm(state.a)))
-    return rows
+        yield state.a
 
 
-def _write_series(path, rows, header_comment=None) -> None:
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append("sweep,diag_norm,offdiag_norm,frob_norm")
-    for sweep, dn, on, fn in rows:
-        lines.append(f"{sweep},{_fmt(dn)},{_fmt(on)},{_fmt(fn)}")
+def _write_series(path, a, tag, header_comment, ordering="O1") -> None:
+    """Per-sweep (diag, offdiag, frob) norms of 20 sweeps, sweep 0 = the input."""
+    lines = [f"# {header_comment}", "sweep,diag_norm,offdiag_norm,frob_norm"]
+    for sweep, m in enumerate(_iterates(a, tag, 20, ordering)):
+        lines.append(f"{sweep},{_fmt(diag_norm_sq(m) ** 0.5)},"
+                     f"{_fmt(offdiag_norm_sq(m) ** 0.5)},{_fmt(frob_norm(m))}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -181,33 +181,24 @@ def cmd_experiment(args) -> int:
     if fig == 1:
         n = n or 25
         a = gen_structured(StructureTag.HAMILTONIAN, n, seed)
-        config = jacobi.SolverConfig(trace=False)
-        state = jacobi.JacobiState(a=a.copy(),
-                                   z=np.eye(2 * n, dtype=np.complex128))
-        _write_abs_grid(out / "fig1_sweep0.csv", state.a)
-        for k in (1, 2, 3):
-            jacobi.sweep_once(state, StructureTag.HAMILTONIAN, config)
-            _write_abs_grid(out / f"fig1_sweep{k}.csv", state.a)
+        for k, m in enumerate(_iterates(a, StructureTag.HAMILTONIAN, 3)):
+            _write_abs_grid(out / f"fig1_sweep{k}.csv", m)
     elif fig == 2:
         n = n or 50
         generic = gen_structured(StructureTag.HAMILTONIAN, n, seed)
         diagable, _, _ = gen_normal_structured(StructureTag.HAMILTONIAN, n,
                                                seed + 1)
-        _write_series(out / "fig2_generic.csv",
-                      _sweep_series(generic, StructureTag.HAMILTONIAN, 20, "O1"),
+        _write_series(out / "fig2_generic.csv", generic, StructureTag.HAMILTONIAN,
                       "fixture: random hamiltonian")
-        _write_series(out / "fig2_diagonalizable.csv",
-                      _sweep_series(diagable, StructureTag.HAMILTONIAN, 20, "O1"),
+        _write_series(out / "fig2_diagonalizable.csv", diagable, StructureTag.HAMILTONIAN,
                       "fixture: normal hamiltonian (diagonalizable by symplectic rotations)")
     elif fig == 3:
         n = n or 25
         generic = gen_structured(StructureTag.SKEW_HAMILTONIAN, n, seed)
         planted = _skew_hamiltonian_with_real_eigenpair(n, seed + 1)
-        _write_series(out / "fig3_no_real_eigs.csv",
-                      _sweep_series(generic, StructureTag.SKEW_HAMILTONIAN, 20, "O1"),
+        _write_series(out / "fig3_no_real_eigs.csv", generic, StructureTag.SKEW_HAMILTONIAN,
                       "fixture: random skew-hamiltonian (generic spectrum)")
-        _write_series(out / "fig3_with_real_eigs.csv",
-                      _sweep_series(planted, StructureTag.SKEW_HAMILTONIAN, 20, "O1"),
+        _write_series(out / "fig3_with_real_eigs.csv", planted, StructureTag.SKEW_HAMILTONIAN,
                       "fixture: random skew-hamiltonian with rows/cols 1 and n+1 "
                       "cleared and a planted real eigenpair of value 1.5")
     else:
@@ -218,9 +209,8 @@ def cmd_experiment(args) -> int:
         for name, a in (("generic", generic), ("diagonalizable", diagable)):
             for ordering in ("O1", "O2"):
                 _write_series(
-                    out / f"fig4_{name}_{ordering.lower()}.csv",
-                    _sweep_series(a, StructureTag.HAMILTONIAN, 20, ordering),
-                    f"fixture: {name} hamiltonian, ordering {ordering}")
+                    out / f"fig4_{name}_{ordering.lower()}.csv", a, StructureTag.HAMILTONIAN,
+                    f"fixture: {name} hamiltonian, ordering {ordering}", ordering)
     return 0
 
 

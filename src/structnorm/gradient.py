@@ -53,6 +53,26 @@ def project_tangent(y: np.ndarray, family: str) -> np.ndarray:
     return (w - w.conj().T[::-1, ::-1]) / 2
 
 
+def _norm(x: np.ndarray) -> float:
+    """||X||_F, recomputed on X scaled by a power of two when the sum of
+    squares overflows or leaves the normal range (np.linalg.norm does not
+    scale); other values keep the bits of np.linalg.norm.
+    """
+    norm = float(np.linalg.norm(x))
+    if not 2.0 ** -480 <= norm < math.inf and np.isfinite(x).all():
+        _, e = math.frexp(float(np.abs(x).max()))
+        norm = math.ldexp(float(np.linalg.norm(x * math.ldexp(1.0, -e))), e)
+    return norm
+
+
+def _gradient(m: np.ndarray, family: str):
+    """(Y, X, ||X||_F) at the similarity iterate M = Z^H A Z."""
+    d = np.diagonal(m)
+    y = 2.0 * m * d.conj()[None, :] + 2.0 * m.conj().T * d[None, :]
+    x = project_tangent(y, family)
+    return y, x, _norm(x)
+
+
 def tangent_gradient(m: np.ndarray, family: str) -> tuple[np.ndarray, float]:
     """Gradient factor X and its norm, from the similarity iterate M = Z^H A Z.
 
@@ -60,10 +80,8 @@ def tangent_gradient(m: np.ndarray, family: str) -> tuple[np.ndarray, float]:
     without A or Z:  Y = 2 M diag(conj d) + 2 M^H diag(d) with d = diag(M),
     then X = project_tangent(Y).
     """
-    d = np.diagonal(m)
-    y = 2.0 * m * d.conj()[None, :] + 2.0 * m.conj().T * d[None, :]
-    x = project_tangent(y, family)
-    return x, float(np.linalg.norm(x))
+    _, x, grad_norm = _gradient(m, family)
+    return x, grad_norm
 
 
 def grad_f(a: np.ndarray, z: np.ndarray, family: str) -> GradientResult:
@@ -77,11 +95,8 @@ def grad_f(a: np.ndarray, z: np.ndarray, family: str) -> GradientResult:
     if fam_resid > 1e-10:
         raise ValueError(
             f"Z does not preserve the {family} form (residual {fam_resid:.3e})")
-    m = z.conj().T @ a @ z
-    d = np.diagonal(m)
-    y = 2.0 * m * d.conj()[None, :] + 2.0 * m.conj().T * d[None, :]
-    x = project_tangent(y, family)
-    return GradientResult(grad=z @ x, y=y, x=x, grad_norm=float(np.linalg.norm(x)))
+    y, x, grad_norm = _gradient(z.conj().T @ a @ z, family)
+    return GradientResult(grad=z @ x, y=y, x=x, grad_norm=grad_norm)
 
 
 def eta(n: int) -> float:

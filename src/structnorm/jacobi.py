@@ -186,7 +186,7 @@ def solve(a: np.ndarray, tag: StructureTag,
     for _ in range(config.max_sweeps):
         sweep_once(state, tag, config)
         cur = diag_norm_sq(state.a)
-        if cur - prev < config.tol * norm_sq:
+        if cur - prev <= config.tol * norm_sq:
             converged = True
             break
         prev = cur

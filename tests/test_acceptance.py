@@ -170,7 +170,8 @@ def test_criterion_05_generic_case(capsys, generic_run):
                    f"{math.sqrt(off1):.3f} < {math.sqrt(off0):.3f} "
                    f"({decreasing}), monotone ({monotone}), sweep-20 gain "
                    f"{last_gain / na_sq:.2e} < 1e-10 of ||A||^2 ({stagnated}; "
-                   f"unattainable for this algorithm, see decisions ledger)")
+                   f"unattainable for this algorithm, see ROADMAP.md, "
+                   f"Known standing failure)")
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,28 @@ def test_solve_huge_entries_exits_0(tmp_path, capsys):
     assert huge["distance"] == pytest.approx(1e80 * base["distance"], rel=1e-10)
 
 
+def test_solve_zero_matrix_converges_in_one_sweep(tmp_path, capsys):
+    path = tmp_path / "zero.mat"
+    sn.write_matrix(path, np.zeros((6, 6), dtype=complex))
+    assert main(["solve", "--in", str(path), "--structure", "hamiltonian",
+                 "--out-normal", str(tmp_path / "x.mat"),
+                 "--out-z", str(tmp_path / "z.mat")]) == 0
+    assert capsys.readouterr().out.startswith("sweeps=1 converged=1 ")
+
+
+def test_solve_without_trace_records_none(tmp_path, monkeypatch):
+    path = tmp_path / "h.mat"
+    sn.write_matrix(path, sn.gen_structured(sn.StructureTag.HAMILTONIAN, 2, 0))
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("trace recorded without --trace")
+
+    monkeypatch.setattr(sn.jacobi, "_record", no_record)
+    assert main(["solve", "--in", str(path), "--structure", "hamiltonian",
+                 "--out-normal", str(tmp_path / "x.mat"),
+                 "--out-z", str(tmp_path / "z.mat")]) == 0
+
+
 def test_verify_parse_error_exits_2(tmp_path):
     path = tmp_path / "junk.mat"
     path.write_text("not a matrix\n")

@@ -74,22 +74,32 @@ def test_non_finite_iterate_names_sweep_step_and_pivot(monkeypatch, plane):
 @settings(max_examples=30, deadline=None)
 @given(tag=st.sampled_from(TAGS), n=st.integers(min_value=1, max_value=3),
        seed=st.integers(min_value=0, max_value=10_000),
-       k=st.integers(min_value=-250, max_value=250))
-def test_solve_is_invariant_under_power_of_two_scaling(tag, n, seed, k):
+       k=st.integers(min_value=-400, max_value=400), skip_rule=st.booleans())
+def test_solve_is_invariant_under_power_of_two_scaling(tag, n, seed, k,
+                                                        skip_rule):
     a = sn.gen_structured(tag, n, seed)
-    base = sn.solve(a, tag)
-    scaled = sn.solve(a * 2.0 ** k, tag)
+    config = sn.SolverConfig(skip_rule=skip_rule)
+    base = sn.solve(a, tag, config)
+    scaled = sn.solve(a * 2.0 ** k, tag, config)
     np.testing.assert_allclose(scaled.z, base.z, rtol=0, atol=1e-10)
     assert scaled.distance == pytest.approx(2.0 ** k * base.distance, rel=1e-10)
 
 
-def test_structured_diagonal_input_needs_no_rotations():
-    d = sn.structured_diagonal(sn.StructureTag.HAMILTONIAN,
-                               np.array([1 + 2j, 3 - 1j, -2 + 0.5j]))
-    res = sn.solve(d, sn.StructureTag.HAMILTONIAN)
+@pytest.mark.parametrize("case", ["diagonal", "zero", "n=1"])
+@pytest.mark.parametrize("tag", TAGS, ids=lambda tag: tag.value)
+def test_structured_diagonal_input_needs_no_rotations(tag, case):
+    if case == "diagonal":
+        a = sn.structured_diagonal(tag, np.array([1 + 2j, 3 - 1j, -2 + 0.5j]))
+    elif case == "zero":
+        a = np.zeros((4, 4), dtype=complex)
+    else:
+        a = sn.structured_diagonal(tag, np.array([1.5 - 0.5j]))
+    res = sn.solve(a, tag)
+    assert res.sweeps == 1 and res.converged
     assert sum(not r.skipped for r in res.trace) == 0
     assert res.distance == 0.0
-    np.testing.assert_array_equal(res.z, np.eye(6))
+    np.testing.assert_array_equal(res.z, np.eye(a.shape[0]))
+    np.testing.assert_array_equal(res.x, a)
 
 
 @pytest.mark.parametrize("tag", TAGS)

@@ -1,0 +1,20 @@
+"""Smoke test of the benchmark: a traced pass of the workloads that, between
+them, call every binding ``perfbench/tracer.py`` wraps."""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["figures", "cli-pipeline"])
+def test_traced_benchmark_pass_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0.1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
