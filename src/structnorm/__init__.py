@@ -4,10 +4,8 @@ Supported structures: Hamiltonian, skew-Hamiltonian, per-Hermitian and
 perskew-Hermitian.  The central entry point is :func:`structnorm.solve`.
 """
 from ._kernels import BACKEND
-from .angles import (AngleProblem, AngleSolution, CubicCoefficients,
-                     DegenerateCubicError, cubic_coefficients,
-                     cubic_real_roots, eval_g, grid_oracle, solve_angles,
-                     solve_angles_fixed_alpha)
+from .angles import (AngleProblem, AngleSolution, eval_g, grid_oracle,
+                     solve_angles, solve_angles_fixed_alpha)
 from .gradient import (GradientResult, eta, grad_f, pivot_gain,
                        project_tangent, should_skip, tangent_gradient)
 from .jacobi import (JacobiState, NearestNormalResult, NonFiniteError,
@@ -25,15 +23,14 @@ from .structures import (PERPLECTIC, SYMPLECTIC, StructureTag,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleProblem", "AngleSolution", "BACKEND", "CubicCoefficients",
-    "DegenerateCubicError", "GradientResult", "JacobiState",
-    "MatrixFileError", "NearestNormalResult", "NonFiniteError", "PERPLECTIC",
-    "RotationKind", "RotationSpec", "SYMPLECTIC", "SolverConfig",
-    "StructureError", "StructureTag", "TraceRecord", "apply_right",
-    "apply_similarity", "build_rotation", "check_structure",
-    "cubic_coefficients", "cubic_real_roots", "diag_norm_sq", "distance_to",
-    "eta", "eval_g", "frob_norm", "gen_normal_structured", "gen_structured",
-    "grad_f", "grid_oracle", "is_structure_preserving", "make_F", "make_J",
+    "AngleProblem", "AngleSolution", "BACKEND", "GradientResult",
+    "JacobiState", "MatrixFileError", "NearestNormalResult",
+    "NonFiniteError", "PERPLECTIC", "RotationKind", "RotationSpec",
+    "SYMPLECTIC", "SolverConfig", "StructureError", "StructureTag",
+    "TraceRecord", "apply_right", "apply_similarity", "build_rotation",
+    "check_structure", "diag_norm_sq", "distance_to", "eta", "eval_g",
+    "frob_norm", "gen_normal_structured", "gen_structured", "grad_f",
+    "grid_oracle", "is_structure_preserving", "make_F", "make_J",
     "offdiag_norm_sq", "pivot_gain", "pivot_set", "project_tangent",
     "random_spec", "read_matrix", "should_skip", "solve", "solve_angles",
     "solve_angles_fixed_alpha", "structured_diagonal", "sweep_once",

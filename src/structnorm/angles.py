@@ -6,39 +6,35 @@ weight
 
     g(phi, alpha) = |a'_ii|^2 + |a'_jj|^2,
 
-over phi in (-pi/4, pi/4] and alpha in (-pi/2, pi/2].  Stationary points fall
-into four families: the identity, phi = pi/4 (alpha from a tangent equation),
-alpha = pi/2 (phi from a tangent equation), and interior points where
-tan(alpha) solves a real cubic.  Rather than classifying which family applies,
-the solver pools candidates from every family and returns the argmax of g,
-so the result is never worse than the identity rotation.
+over phi in [-pi/4, pi/4] and alpha in [-pi/2, pi/2].  Both maxima have a
+closed form in the five invariants (s1, s2, s3, p, q) of the pivot.  At fixed
+alpha the phi-derivative of g is pc cos(4 phi) + qc sin(4 phi), so the gain
+g(phi, alpha) - g(0, 0) is largest at 4 phi = atan2(pc, -qc), where it equals
+the largest eigenvalue of [[2 qc, pc], [pc, 0]] divided by 4.  Writing that
+eigenvalue as a Rayleigh quotient in y = (x1 cos alpha, x1 sin alpha, x2)
+turns the maximum over alpha as well into the largest eigenvalue F of the
+symmetric 3x3 matrix
 
-The cubic coefficients below were obtained by expanding the combined
-stationarity condition symbolically and reducing with cos^2 + sin^2 = 1; the
-expansion is validated in the test suite both against direct numerical
-evaluation of the unexpanded condition and against a grid search.
+    K = [[2 (s3 + 2p), 4q,          2 s1],
+         [4q,          2 (s3 - 2p), 2 s2],
+         [2 s1,        2 s2,        0   ]],
+
+so the best gain over both angles is F/4, and alpha is the polar angle of
+the top eigenvector's first two components.  F is found by Newton's method
+on det(xI - K) from K's Gershgorin bound, which decreases monotonically onto
+the largest root because every root is real.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
 _QUARTER_PI = math.pi / 4
 _HALF_PI = math.pi / 2
-_EIGHTH_PI = math.pi / 8
-_DOMAIN_EPS = 1e-12
-# open-closed angle domains, widened by _DOMAIN_EPS
-_PHI_LO, _PHI_HI = -_QUARTER_PI - _DOMAIN_EPS, _QUARTER_PI + _DOMAIN_EPS
-_ALPHA_LO, _ALPHA_HI = -_HALF_PI - _DOMAIN_EPS, _HALF_PI + _DOMAIN_EPS
 # pivots whose largest part lies in this range are solved unscaled
 _SCALE_LO, _SCALE_HI = 2.0 ** -32, 2.0 ** 32
-
-
-class DegenerateCubicError(ValueError):
-    """All cubic coefficients vanish; every alpha is stationary."""
 
 
 @dataclass(frozen=True)
@@ -65,29 +61,8 @@ class AngleSolution:
     phi: float
     alpha: float
     g_value: float
-    case: str  # trivial | phi_quarter | alpha_half | cubic | fixed_1d
-
-
-@dataclass(frozen=True)
-class CubicCoefficients:
-    """Real cubic c3*tau^3 + c2*tau^2 + c1*tau + c0 in tau = tan(alpha).
-
-    Also carries the invariants (s1, s2, s3, p, q) it was built from.
-    """
-
-    c3: float
-    c2: float
-    c1: float
-    c0: float
-    s1: float
-    s2: float
-    s3: float
-    p: float
-    q: float
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.c3 == 0.0 and self.c2 == 0.0 and self.c1 == 0.0 and self.c0 == 0.0
+    gain: float  # g_value - g(0, 0), at full relative accuracy
+    case: str  # trivial | cubic | fixed_1d
 
 
 def _parts(problem: AngleProblem):
@@ -137,129 +112,10 @@ def eval_g(problem: AngleProblem, phi, alpha):
     return _g_formula(_parts(problem), float(phi), float(alpha), math)
 
 
-def cubic_coefficients(problem: AngleProblem) -> CubicCoefficients:
-    """Coefficients of the interior-stationarity cubic in tan(alpha)."""
-    inv = _invariants(problem)
-    return CubicCoefficients(*_cubic_terms(*inv), *inv)
-
-
-def _cubic_terms(s1, s2, s3, p, q):
-    """(c3, c2, c1, c0) of the interior-stationarity cubic."""
-    c3 = 4 * p * q * s1 + 4 * q * q * s2 - 2 * q * s1 * s3 - s1 * s1 * s2
-    c2 = (8 * p * p * s1 + 12 * p * q * s2 - 4 * p * s1 * s3 - 4 * q * q * s1
-          + 2 * q * s2 * s3 - s1 ** 3 + 2 * s1 * s2 * s2)
-    c1 = (8 * p * p * s2 - 12 * p * q * s1 + 4 * p * s2 * s3 - 4 * q * q * s2
-          + 2 * q * s1 * s3 + 2 * s1 * s1 * s2 - s2 ** 3)
-    c0 = -4 * p * q * s2 + 4 * q * q * s1 - 2 * q * s2 * s3 - s1 * s2 * s2
-    return c3, c2, c1, c0
-
-
-def cubic_real_roots(coeffs: CubicCoefficients) -> list[float]:
-    """All real roots, deduplicated, Newton-polished on the input cubic.
-
-    Degenerate leading coefficients reduce the degree; an all-zero cubic
-    raises DegenerateCubicError (the caller falls back to the explicit-angle
-    candidates).
-    """
-    return _real_roots(coeffs.c3, coeffs.c2, coeffs.c1, coeffs.c0)
-
-
-def _real_roots(c3, c2, c1, c0) -> list[float]:
-    scale = max(abs(c3), abs(c2), abs(c1), abs(c0))
-    if scale == 0.0:
-        raise DegenerateCubicError("all cubic coefficients are zero")
-    c3 = c3 / scale
-    c2 = c2 / scale
-    c1 = c1 / scale
-    c0 = c0 / scale
-
-    eps = 1e-14
-    if abs(c3) <= eps:
-        roots = _quadratic_roots(c2, c1, c0)
-    else:
-        roots = _cardano(c2 / c3, c1 / c3, c0 / c3)
-
-    polished = []
-    for r in roots:
-        for _ in range(3):
-            f = ((c3 * r + c2) * r + c1) * r + c0
-            df = (3 * c3 * r + 2 * c2) * r + c1
-            if df == 0.0:
-                break
-            step = f / df
-            if not math.isfinite(step):
-                break
-            r = r - step
-        polished.append(r)
-
-    polished.sort()
-    out: list[float] = []
-    for r in polished:
-        if out and abs(r - out[-1]) <= 1e-10 * max(1.0, abs(r), abs(out[-1])):
-            continue
-        out.append(r)
-    return out
-
-
-def _quadratic_roots(a, b, c):
-    if a == 0.0:
-        if b == 0.0:
-            return []  # constant, nonzero by the caller's scaling
-        return [-c / b]
-    disc = b * b - 4 * a * c
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    # q-form avoids cancellation between -b and the discriminant root
-    qq = -(b + math.copysign(sq, b)) / 2
-    roots = [qq / a]
-    if qq != 0.0:
-        roots.append(c / qq)
-    return roots
-
-
-def _cardano(b, c, d):
-    """Real roots of the monic cubic t^3 + b t^2 + c t + d."""
-    p = c - b * b / 3
-    q = 2 * b ** 3 / 27 - b * c / 3 + d
-    shift = -b / 3
-    disc = (q / 2) ** 2 + (p / 3) ** 3
-    if disc > 0.0:
-        sq = math.sqrt(disc)
-        w = -q / 2 - math.copysign(sq, q)
-        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
-        t = u - p / (3 * u) if u != 0.0 else 0.0
-        return [t + shift]
-    if disc == 0.0:
-        if p == 0.0:
-            return [shift]
-        return [3 * q / p + shift, -3 * q / (2 * p) + shift]
-    # three distinct real roots
-    m = 2 * math.sqrt(-p / 3)
-    arg = 3 * q / (p * m)
-    arg = min(1.0, max(-1.0, arg))
-    theta = math.acos(arg) / 3
-    return [m * math.cos(theta - 2 * math.pi * k / 3) + shift for k in (0, 1, 2)]
-
-
-def _trig(alpha):
-    """cos and sin of alpha and of 2 alpha, the values every alpha term uses."""
-    return math.cos(alpha), math.sin(alpha), math.cos(2 * alpha), math.sin(2 * alpha)
-
-
-_TRIG_ZERO = _trig(0.0)
-_TRIG_QUARTER = _trig(_QUARTER_PI)
-_TRIG_MINUS_QUARTER = _trig(-_QUARTER_PI)
-_TRIG_HALF = _trig(_HALF_PI)
-
-
-def _phi_slope_coeffs(s1, s2, s3, p, q, trig):
-    """(pc, qc) with d g / d phi = pc cos(4 phi) + qc sin(4 phi) at fixed alpha.
-
-    ``trig`` is ``_trig(alpha)``.
-    """
-    ca, sa, c2a, s2a = trig
-    return 2.0 * (s1 * ca + s2 * sa), s3 + 2.0 * c2a * p + 2.0 * s2a * q
+def _phi_slope_coeffs(s1, s2, s3, p, q, alpha):
+    """(pc, qc) with d g / d phi = pc cos(4 phi) + qc sin(4 phi) at fixed alpha."""
+    return (2.0 * (s1 * math.cos(alpha) + s2 * math.sin(alpha)),
+            s3 + 2.0 * (p * math.cos(2 * alpha) + q * math.sin(2 * alpha)))
 
 
 def _gain(pc, qc, phi):
@@ -276,28 +132,35 @@ def _gain(pc, qc, phi):
     return (pc * math.sin(4 * phi) + qc * 2.0 * s2p * s2p) / 4.0
 
 
-def _stationary_phis(pc, qc):
-    """Roots of d g / d phi = pc*cos(4 phi) + qc*sin(4 phi) at fixed alpha.
+def _top_eigenvalue(s1, s2, s3, p, q):
+    """F = lambda_max(K), by Newton's method on det(xI - K) from above.
 
-    All arctan branch mates inside the phi domain are returned.  This
-    recovery is well conditioned in phi, unlike tan(2 phi) = -k1/k2, which
-    degenerates when g barely depends on alpha (nearly symmetric pivots).
+    All roots are real, so from an upper bound the iterates fall
+    monotonically onto the largest root; the first one that fails to fall
+    ends the loop.
     """
-    if pc == 0.0 and qc == 0.0:
-        return ()
-    f0 = 0.25 * math.atan2(-pc, qc)
-    out = []
-    for k in (-1, 0, 1):
-        phi = f0 + k * _QUARTER_PI
-        if _PHI_LO < phi <= _PHI_HI:
-            out.append(min(phi, _QUARTER_PI))
-    return out
+    t = s1 * s1 + s2 * s2
+    c2 = -4.0 * s3
+    c1 = 4.0 * s3 * s3 - 4.0 * t - 16.0 * (p * p + q * q)
+    c0 = 8.0 * s3 * t - 16.0 * p * (s1 * s1 - s2 * s2) - 32.0 * q * s1 * s2
+    # Gershgorin: no eigenvalue exceeds a row's diagonal plus its off-diagonals
+    x = max(2.0 * (s3 + 2.0 * p + abs(s1)) + 4.0 * abs(q),
+            2.0 * (s3 - 2.0 * p + abs(s2)) + 4.0 * abs(q),
+            2.0 * (abs(s1) + abs(s2)))
+    while True:
+        df = (3.0 * x + 2.0 * c2) * x + c1
+        if not df > 0.0:  # at a multiple root
+            return x
+        nxt = x - (((x + c2) * x + c1) * x + c0) / df
+        if not nxt < x:
+            return x
+        x = nxt
 
 
 def _rescaled(problem: AngleProblem) -> tuple[AngleProblem, int]:
     """The problem times 2**-e and e, with e != 0 only for extreme scales.
 
-    The cubic coefficients are of degree 6 in the entries, so they overflow
+    det(xI - K) has coefficients of degree 6 in the entries, so they overflow
     or underflow far inside the float range.  When the largest real or
     imaginary part lies outside [2**-32, 2**32], the entries are divided by
     the power of two that brings it into [0.5, 1), which is exact and leaves
@@ -318,22 +181,21 @@ def _rescaled(problem: AngleProblem) -> tuple[AngleProblem, int]:
                         problem.fixed_alpha), e
 
 
-def _pick(problem: AngleProblem, scale_exp: int,
-          scored: list[tuple[float, float, float, str]]):
-    """Argmax of the analytic gain; near-ties prefer smaller |phi|, then |alpha|.
+def _best_phi(problem: AngleProblem, scale_exp: int, inv, alpha: float,
+              case: str) -> AngleSolution:
+    """The best rotation at alpha, or the identity when it gains nothing.
 
-    Returns (phi, alpha, g_value, case), with g_value scaled back by
-    4**scale_exp to the caller's problem.
+    g_value and gain are scaled back by 4**scale_exp to the caller's problem.
     """
-    best = max(scored, key=itemgetter(0))[0]
-    tied = [s for s in scored if s[0] >= best - 1e-9 * abs(best)]
-    _, phi, alpha, case = min(tied, key=lambda s: (abs(s[1]), abs(s[2])))
-    parts = _parts(problem)
-    x_ii, y_ii, x_jj, y_jj = parts[:4]
-    # _g_formula at phi = alpha = 0, where it reduces to exactly this sum
+    pc, qc = _phi_slope_coeffs(*inv, alpha)
+    phi = 0.25 * math.atan2(pc, -qc)
+    gain = _gain(pc, qc, phi)
+    if not gain > 0.0:  # pc = qc = 0 gives atan2(0.0, -0.0) = pi
+        phi, gain, case = 0.0, 0.0, "trivial"
+    x_ii, y_ii, x_jj, y_jj = _parts(problem)[:4]
     g0 = x_ii ** 2 + y_ii ** 2 + x_jj ** 2 + y_jj ** 2
-    g_value = max(_g_formula(parts, phi, alpha, math), g0)
-    return phi, alpha, math.ldexp(g_value, 2 * scale_exp), case
+    return AngleSolution(phi, alpha, math.ldexp(g0 + gain, 2 * scale_exp),
+                         math.ldexp(gain, 2 * scale_exp), case)
 
 
 def solve_angles(problem: AngleProblem) -> AngleSolution:
@@ -343,52 +205,12 @@ def solve_angles(problem: AngleProblem) -> AngleSolution:
     problem, scale_exp = _rescaled(problem)
     inv = _invariants(problem)
     s1, s2, s3, p, q = inv
-    # every candidate is scored as it is found; the slope coefficients are
-    # computed once per distinct alpha
-    pc, qc = _phi_slope_coeffs(*inv, _TRIG_ZERO)
-    scored = [(_gain(pc, qc, 0.0), 0.0, 0.0, "trivial")]
-
-    # phi = pi/4: stationarity in alpha gives tan(2 alpha) = q/p, or alpha = +-pi/4
-    for alpha, trig in ((_QUARTER_PI, _TRIG_QUARTER),
-                        (-_QUARTER_PI, _TRIG_MINUS_QUARTER)):
-        scored.append((_gain(*_phi_slope_coeffs(*inv, trig), _QUARTER_PI),
-                       _QUARTER_PI, alpha, "phi_quarter"))
-    if p != 0.0 or q != 0.0:
-        a0 = 0.5 * math.atan2(q, p)
-        for k in (-1, 0, 1):
-            alpha = a0 + k * _HALF_PI
-            if _ALPHA_LO < alpha <= _ALPHA_HI:
-                alpha = min(alpha, _HALF_PI)
-                slope = _phi_slope_coeffs(*inv, _trig(alpha))
-                scored.append((_gain(*slope, _QUARTER_PI), _QUARTER_PI, alpha,
-                               "phi_quarter"))
-
-    # alpha = pi/2: stationary phis, or phi = +-pi/8 when both terms vanish
-    pc, qc = _phi_slope_coeffs(*inv, _TRIG_HALF)
-    for phi in (_EIGHTH_PI, -_EIGHTH_PI, *_stationary_phis(pc, qc)):
-        scored.append((_gain(pc, qc, phi), phi, _HALF_PI, "alpha_half"))
-
-    # interior points: tan(alpha) solves the cubic.  phi is recovered both
-    # from tan(2 phi) = -k1/k2 and from the phi-stationarity branches, which
-    # stay accurate when k1 and k2 are cancellation-dominated.  alpha = 0 is
-    # seeded unconditionally for the same reason.
-    terms = _cubic_terms(*inv)
-    alphas_c = [(0.0, _TRIG_ZERO)]
-    if any(terms):  # an all-zero cubic makes every alpha stationary
-        for tau in _real_roots(*terms):
-            alpha = math.atan(tau)
-            alphas_c.append((alpha, _trig(alpha)))
-    for alpha, trig in alphas_c:
-        ca, sa, c2a, s2a = trig
-        pc, qc = _phi_slope_coeffs(*inv, trig)
-        k2 = 2.0 * (q * c2a - p * s2a)
-        if k2 != 0.0:
-            phi = 0.5 * math.atan(-(s2 * ca - s1 * sa) / k2)
-            scored.append((_gain(pc, qc, phi), phi, alpha, "cubic"))
-        for phi in _stationary_phis(pc, qc):
-            scored.append((_gain(pc, qc, phi), phi, alpha, "cubic"))
-
-    return AngleSolution(*_pick(problem, scale_exp, scored))
+    f = _top_eigenvalue(*inv)
+    # eliminating y3 from (K - F I) y = 0 leaves a 2x2 system in (y1, y2)
+    # whose null vector lies at this polar angle
+    alpha = 0.5 * math.atan2(4.0 * f * q + 4.0 * s1 * s2,
+                             4.0 * f * p + 2.0 * (s1 * s1 - s2 * s2))
+    return _best_phi(problem, scale_exp, inv, alpha, "cubic")
 
 
 def solve_angles_fixed_alpha(problem: AngleProblem) -> AngleSolution:
@@ -397,13 +219,8 @@ def solve_angles_fixed_alpha(problem: AngleProblem) -> AngleSolution:
     if alpha is None:
         raise ValueError("problem has free alpha; use solve_angles")
     problem, scale_exp = _rescaled(problem)
-    pc, qc = _phi_slope_coeffs(*_invariants(problem), _trig(alpha))
-    scored = [(_gain(pc, qc, phi), phi, alpha, "fixed_1d")
-              for phi in (0.0, _QUARTER_PI, _EIGHTH_PI, -_EIGHTH_PI,
-                          *_stationary_phis(pc, qc))]
-    phi, _, g_value, _ = _pick(problem, scale_exp, scored)
-    return AngleSolution(phi, alpha, g_value,
-                         "trivial" if phi == 0.0 else "fixed_1d")
+    return _best_phi(problem, scale_exp, _invariants(problem), alpha,
+                     "fixed_1d")
 
 
 def grid_oracle(problem: AngleProblem, grid: int) -> tuple[float, float, float]:

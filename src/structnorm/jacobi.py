@@ -4,8 +4,10 @@ Sweeps over the n^2 pivot positions, solves the per-pivot angle problem,
 applies the structure-preserving rotation in place, and accumulates the
 transformation Z.  The diagonal weight ||diag(A_k)||_F^2 never decreases
 because every pivot solution is at least as good as the identity rotation.
-Once the sweep-over-sweep gain stagnates the iterate is declared converged
-and the nearest structured normal matrix is assembled as
+Each sweep sums the exact gains of its applied rotations, counting a double
+rotation twice since it gains in both of its planes.  Once that sum is at
+most tol * ||A||_F^2 the iterate is declared converged and the nearest
+structured normal matrix is assembled as
 
     X = Z diag(Z^H A Z) Z^H.
 """
@@ -70,6 +72,7 @@ class JacobiState:
     z: np.ndarray
     sweep: int = 0
     step: int = 0
+    sweep_gain: float = 0.0  # diagonal weight gained by the last sweep
     trace: list[TraceRecord] = field(default_factory=list)
 
 
@@ -115,6 +118,7 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
 
     x_sweep = None
     grad_norm = 0.0
+    sweep_gain = 0.0
     if config.skip_rule:
         x_sweep, grad_norm = tangent_gradient(a, family)
 
@@ -148,9 +152,11 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
             raise NonFiniteError(
                 f"non-finite entries at sweep {state.sweep + 1}, "
                 f"step {state.step}, pivot ({i}, {j})")
+        sweep_gain += sol.gain if single else 2.0 * sol.gain
         if trace:
             _record(state, kind, i, j, sol.phi, sol.alpha, skipped=False)
     state.sweep += 1
+    state.sweep_gain = sweep_gain
     return state
 
 
@@ -180,16 +186,13 @@ def solve(a: np.ndarray, tag: StructureTag,
 
     dim = a0.shape[0]
     state = JacobiState(a=a0.copy(), z=np.eye(dim, dtype=np.complex128))
-    norm_sq = _total_norm_sq(a0)
-    prev = diag_norm_sq(state.a)
+    stop = config.tol * _total_norm_sq(a0)
     converged = False
     for _ in range(config.max_sweeps):
         sweep_once(state, tag, config)
-        cur = diag_norm_sq(state.a)
-        if cur - prev <= config.tol * norm_sq:
+        if state.sweep_gain <= stop:
             converged = True
             break
-        prev = cur
 
     d_vec = np.diagonal(state.a).copy()
     x = (state.z * d_vec[None, :]) @ state.z.conj().T

@@ -45,69 +45,37 @@ def test_eval_g_broadcasts():
                 sn.eval_g(pr, float(phis[a]), float(alphas[b])), rel=1e-14)
 
 
-def test_cubic_identity_against_unexpanded_condition():
-    # the frozen coefficients must reproduce the unexpanded stationarity
-    # combination: eq(alpha) = cos^3(alpha) * C(tan alpha)
-    rng = np.random.default_rng(42)
-    for _ in range(200):
+def _k_matrix(pr):
+    s1, s2, s3, p, q = _invariants(pr)
+    return np.array([[2 * (s3 + 2 * p), 4 * q, 2 * s1],
+                     [4 * q, 2 * (s3 - 2 * p), 2 * s2],
+                     [2 * s1, 2 * s2, 0.0]])
+
+
+def test_solve_angles_gain_is_top_eigenvalue_of_k():
+    rng = np.random.default_rng(23)
+    for _ in range(500):
         pr = random_problem(rng)
-        co = sn.cubic_coefficients(pr)
-        s1, s2, s3, p, q = _invariants(pr)
-        alpha = (rng.random() - 0.5) * 2.8
-        ca, sa = math.cos(alpha), math.sin(alpha)
-        k1 = s2 * ca - s1 * sa
-        k2 = 2 * (q * math.cos(2 * alpha) - p * math.sin(2 * alpha))
-        bracket = (s3 + 2 * math.cos(2 * alpha) * p + 2 * math.sin(2 * alpha) * q)
-        eq = ca * (k2 ** 2 - k1 ** 2) * s1 + sa * (k2 ** 2 - k1 ** 2) * s2 \
-            - k1 * k2 * bracket
-        tau = math.tan(alpha)
-        cube = ((co.c3 * tau + co.c2) * tau + co.c1) * tau + co.c0
-        scale = max(abs(co.c3), abs(co.c2), abs(co.c1), abs(co.c0), 1.0)
-        assert abs(eq - ca ** 3 * cube) <= 1e-12 * scale
+        want = np.linalg.eigvalsh(_k_matrix(pr)).max()
+        assert 4 * sn.solve_angles(pr).gain == pytest.approx(want, rel=1e-12)
 
 
-def test_cubic_roots_simple():
-    co = sn.CubicCoefficients(1, 0, -1, 0, 0, 0, 0, 0, 0)
-    assert sn.cubic_real_roots(co) == pytest.approx([-1.0, 0.0, 1.0], abs=1e-14)
-
-
-def test_cubic_roots_triple():
-    co = sn.CubicCoefficients(1, 0, 0, 0, 0, 0, 0, 0, 0)
-    roots = sn.cubic_real_roots(co)
-    assert len(roots) == 1
-    assert roots[0] == pytest.approx(0.0, abs=1e-14)
-
-
-def test_cubic_roots_double_root():
-    # (t - 1)^2 (t + 2) = t^3 - 3 t + 2
-    roots = sn.cubic_real_roots(sn.CubicCoefficients(1, 0, -3, 2, 0, 0, 0, 0, 0))
-    assert roots == pytest.approx([-2.0, 1.0], abs=1e-10)
-
-
-def test_cubic_roots_degenerate_leading():
-    # 0 t^3 + t^2 - 1
-    roots = sn.cubic_real_roots(sn.CubicCoefficients(0, 1, 0, -1, 0, 0, 0, 0, 0))
-    assert roots == pytest.approx([-1.0, 1.0], abs=1e-14)
-    # linear only
-    roots = sn.cubic_real_roots(sn.CubicCoefficients(0, 0, 2, -1, 0, 0, 0, 0, 0))
-    assert roots == pytest.approx([0.5], abs=1e-15)
-
-
-def test_cubic_all_zero_raises():
-    with pytest.raises(sn.DegenerateCubicError):
-        sn.cubic_real_roots(sn.CubicCoefficients(0, 0, 0, 0, 0, 0, 0, 0, 0))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=100_000))
-def test_cubic_roots_residuals(seed):
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=100_000),
+       log_ratio=st.floats(min_value=-12.0, max_value=0.0))
+def test_solve_angles_gains_all_offdiagonal_weight_of_normal_blocks(
+        seed, log_ratio):
+    # b = (delta / conj(delta)) conj(c) makes the block normal, so a single
+    # rotation diagonalizes it and the best gain is |b|^2 + |c|^2, also when
+    # the off-diagonals are tiny next to the gap delta = a_ii - a_jj
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal(4) * 10.0 ** float(rng.integers(-3, 4))
-    co = sn.CubicCoefficients(c[0], c[1], c[2], c[3], 0, 0, 0, 0, 0)
-    scale = max(abs(v) for v in c)
-    for t in sn.cubic_real_roots(co):
-        resid = abs(((c[0] * t + c[1]) * t + c[2]) * t + c[3])
-        assert resid <= 1e-9 * scale * max(1.0, abs(t) ** 3)
+    v = rng.standard_normal(6)
+    a_ii, a_jj, c = complex(v[0], v[1]), complex(v[2], v[3]), complex(v[4], v[5])
+    delta = a_ii - a_jj
+    c *= abs(delta) / abs(c) * 10.0 ** log_ratio
+    b = delta / delta.conjugate() * c.conjugate()
+    sol = sn.solve_angles(sn.AngleProblem(a_ii, b, c, a_jj))
+    assert sol.gain == pytest.approx(abs(b) ** 2 + abs(c) ** 2, rel=1e-12)
 
 
 def test_solve_angles_diagonal_prefers_identity():

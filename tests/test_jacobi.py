@@ -112,6 +112,26 @@ def test_solve_normal_fixture_reaches_diagonal(tag):
     assert res.sweeps <= 20
 
 
+def test_solve_resolves_gains_below_one_ulp_of_the_diagonal_weight():
+    # the last sweeps of this n = 16 fixture gain less than one ulp of the
+    # diagonal weight; stopping on the rounded difference of diag_norm_sq
+    # ends it at distance 1.05e-8 ||A||
+    tag = sn.StructureTag.PER_HERMITIAN
+    a, _, _ = sn.gen_normal_structured(tag, 16, 1760389630)
+    res = sn.solve(a, tag, sn.SolverConfig(tol=1e-16, trace=False))
+    assert res.converged
+    assert res.distance <= 1e-8 * np.linalg.norm(a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tag=st.sampled_from(TAGS), n=st.integers(min_value=1, max_value=3),
+       seed=st.integers(min_value=0, max_value=10_000))
+def test_solution_is_a_fixed_point(tag, n, seed):
+    config = sn.SolverConfig(trace=False)
+    x = sn.solve(sn.gen_structured(tag, n, seed), tag, config).x
+    assert sn.solve(x, tag, config).distance <= 1e-12 * np.linalg.norm(x)
+
+
 @pytest.mark.parametrize("tag", TAGS)
 def test_solve_invariants_on_generic_fixture(tag):
     a = sn.gen_structured(tag, 5, 72)
