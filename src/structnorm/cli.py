@@ -96,13 +96,13 @@ def cmd_solve(args) -> int:
 
 
 def _write_trace(path, records) -> None:
-    lines = ["sweep,step,kind,i,j,phi,alpha,diag_norm_sq,offdiag_norm_sq,skipped"]
-    for r in records:
-        lines.append(
-            f"{r.sweep},{r.step},{r.kind},{r.i},{r.j},{_fmt(r.phi)},"
-            f"{_fmt(r.alpha)},{_fmt(r.diag_norm_sq)},{_fmt(r.offdiag_norm_sq)},"
-            f"{int(r.skipped)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    row = "%d,%d,%s,%d,%d,%.17g,%.17g,%.17g,%.17g,%d\n"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("sweep,step,kind,i,j,phi,alpha,diag_norm_sq,offdiag_norm_sq,"
+                 "skipped\n")
+        for r in records:
+            fh.write(row % (r.sweep, r.step, r.kind, r.i, r.j, r.phi, r.alpha,
+                            r.diag_norm_sq, r.offdiag_norm_sq, r.skipped))
 
 
 def cmd_verify(args) -> int:

@@ -119,6 +119,7 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
     x_sweep = None
     grad_norm = 0.0
     sweep_gain = 0.0
+    weights = None  # (diag, offdiag) weight of ``a`` at the last record
     if config.skip_rule:
         x_sweep, grad_norm = tangent_gradient(a, family)
 
@@ -128,7 +129,7 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
             gain = pivot_gain(x_sweep, RotationSpec(kind, i, j, 0.0))
             if should_skip(gain, grad_norm, n):
                 if trace:
-                    _record(state, kind, i, j, 0.0, 0.0, skipped=True)
+                    weights = _record(state, kind, i, j, 0.0, 0.0, True, weights)
                 continue
         fixed_alpha, single = kinds[kind]
         problem = AngleProblem.from_matrix(a, i, j, fixed_alpha)
@@ -138,7 +139,8 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
             sol = solve_angles(problem)
         if abs(sol.phi) < PHI_SKIP:
             if trace:
-                _record(state, kind, i, j, sol.phi, sol.alpha, skipped=True)
+                weights = _record(state, kind, i, j, sol.phi, sol.alpha, True,
+                                  weights)
             continue
         spec = RotationSpec(kind, i, j, sol.phi, sol.alpha)
         apply_similarity(a, spec)
@@ -154,17 +156,22 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
                 f"step {state.step}, pivot ({i}, {j})")
         sweep_gain += sol.gain if single else 2.0 * sol.gain
         if trace:
-            _record(state, kind, i, j, sol.phi, sol.alpha, skipped=False)
+            weights = _record(state, kind, i, j, sol.phi, sol.alpha, False)
     state.sweep += 1
     state.sweep_gain = sweep_gain
     return state
 
 
-def _record(state, kind, i, j, phi, alpha, skipped):
+def _record(state, kind, i, j, phi, alpha, skipped, weights=None):
+    """Append a trace record; return its (diag, offdiag) weights, which are
+    ``weights`` if given (``state.a`` unchanged since they were taken)."""
+    if weights is None:
+        weights = diag_norm_sq(state.a), offdiag_norm_sq(state.a)
     state.trace.append(TraceRecord(
         sweep=state.sweep + 1, step=state.step, kind=kind.value, i=i, j=j,
-        phi=phi, alpha=alpha, diag_norm_sq=diag_norm_sq(state.a),
-        offdiag_norm_sq=offdiag_norm_sq(state.a), skipped=skipped))
+        phi=phi, alpha=alpha, diag_norm_sq=weights[0],
+        offdiag_norm_sq=weights[1], skipped=skipped))
+    return weights
 
 
 def solve(a: np.ndarray, tag: StructureTag,

@@ -7,10 +7,19 @@ Format, one value per line after a single header line:
     ...
 
 Entries are stored in column-major order and printed with 17 significant
-digits, which round-trips IEEE binary64 values exactly.  A file must hold
-exactly rows * cols finite entries.
+digits, which round-trips IEEE binary64 values exactly.  The reader takes
+one ``<re> <im>`` pair per line, split on any run of whitespace (so tabs and
+CRLF line ends are fine); the dimensions must be plain ASCII digits, from 1
+to 999999999; and the file must hold exactly rows * cols finite entries,
+with nothing but whitespace after them.  Any other file raises
+:class:`MatrixFileError` (exit code 2 in the CLI).  Both directions stream:
+the reader allocates as it parses, so a header cannot make it reserve
+memory, and the writer formats one column at a time.
 """
 from __future__ import annotations
+
+from array import array
+from itertools import islice
 
 import numpy as np
 
@@ -27,12 +36,22 @@ def write_matrix(path, a: np.ndarray) -> None:
     if a.ndim != 2:
         raise ValueError("matrix must be 2-dimensional")
     rows, cols = a.shape
-    lines = [f"{_MAGIC} {_VERSION} {rows} {cols} complex"]
-    for v in a.flatten(order="F"):
-        lines.append(f"{v.real:.17g} {v.imag:.17g}")
+    column = "%.17g %.17g\n" * rows
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(f"{_MAGIC} {_VERSION} {rows} {cols} complex\n")
+        for c in range(cols):
+            # (re, im) pairs of column c, in order
+            fh.write(column % tuple(
+                np.ascontiguousarray(a[:, c]).view(np.float64).tolist()))
+
+
+def _dimension(token: str, path) -> int:
+    # the file is decoded as ASCII, so isdigit() admits exactly 0-9, where
+    # int() alone would also take "+2" and "1_0".  At most 9 digits keeps
+    # rows * cols within what islice() counts to, and int() within its limit.
+    if not token.isdigit() or len(token) > 9 or int(token) < 1:
+        raise MatrixFileError(f"{path}: bad dimensions")
+    return int(token)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -41,27 +60,27 @@ def read_matrix(path) -> np.ndarray:
         if len(header) != 5 or header[0] != _MAGIC or header[1] != _VERSION \
                 or header[4] != "complex":
             raise MatrixFileError(f"{path}: bad header")
-        try:
-            rows, cols = int(header[2]), int(header[3])
-        except ValueError as exc:
-            raise MatrixFileError(f"{path}: bad dimensions") from exc
-        if rows < 1 or cols < 1:
-            raise MatrixFileError(f"{path}: bad dimensions")
-        values = np.empty(rows * cols, dtype=np.complex128)
-        for k in range(rows * cols):
-            line = fh.readline()
-            if not line:
-                raise MatrixFileError(f"{path}: truncated after {k} entries")
-            parts = line.split()
-            if len(parts) != 2:
-                raise MatrixFileError(f"{path}: bad entry on line {k + 2}")
+        rows, cols = _dimension(header[2], path), _dimension(header[3], path)
+        size = rows * cols
+        values = array("d")  # re, im, re, im, ...
+        append = values.append
+        for line in islice(fh, size):
             try:
-                values[k] = complex(float(parts[0]), float(parts[1]))
+                real, imag = line.split()
+                append(float(real))
+                append(float(imag))
             except ValueError as exc:
-                raise MatrixFileError(f"{path}: bad entry on line {k + 2}") from exc
+                # entries before this line hold 2 * (line - 2) values, plus
+                # a real part when only the imaginary part failed
+                raise MatrixFileError(
+                    f"{path}: bad entry on line {len(values) // 2 + 2}") from exc
+        if len(values) < 2 * size:
+            raise MatrixFileError(
+                f"{path}: truncated after {len(values) // 2} entries")
         if fh.read().strip():
-            raise MatrixFileError(f"{path}: data after the {rows * cols} entries")
-    bad = np.flatnonzero(~np.isfinite(values))
+            raise MatrixFileError(f"{path}: data after the {size} entries")
+    entries = np.frombuffer(values, dtype=np.complex128)
+    bad = np.flatnonzero(~np.isfinite(entries))
     if bad.size:
         raise MatrixFileError(f"{path}: non-finite entry on line {bad[0] + 2}")
-    return values.reshape((rows, cols), order="F")
+    return entries.reshape((rows, cols), order="F")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import structnorm as sn
+from structnorm import cli
 from structnorm.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -150,6 +151,39 @@ def test_normality_on_unitary(tmp_path):
 def _parse_summary(stdout):
     fields = dict(kv.split("=") for kv in stdout.strip().split())
     return {k: float(v) for k, v in fields.items()}
+
+
+def test_huge_declared_size_exits_2(tmp_path, capsys):
+    # 10^16 entries cannot be allocated: a file error, not exit 1 ("residual
+    # above tolerance") from a MemoryError
+    path = tmp_path / "huge.mat"
+    path.write_text("structnorm-matrix v1 100000000 100000000 complex\n0 0\n")
+    assert main(["verify", "--in", str(path), "--structure", "hamiltonian"]) == 2
+    assert "truncated after 1 entries" in capsys.readouterr().err
+
+
+def test_trace_bytes_equal_the_f_string_writer(tmp_path):
+    # the trace's one-f-string-per-row form; _write_trace must match it
+    # byte for byte, for applied, eta-skipped and PHI_SKIP-skipped records
+    def fmt(x):
+        return f"{x:.17g}"
+
+    tag = sn.StructureTag.HAMILTONIAN
+    records = []
+    for skip_rule in (True, False):
+        a, _, _ = sn.gen_normal_structured(tag, 5, 75)
+        records += sn.solve(a, tag, sn.SolverConfig(
+            skip_rule=skip_rule, tol=1e-16, max_sweeps=30)).trace
+    assert any(r.skipped for r in records)
+    lines = ["sweep,step,kind,i,j,phi,alpha,diag_norm_sq,offdiag_norm_sq,skipped"]
+    for r in records:
+        lines.append(
+            f"{r.sweep},{r.step},{r.kind},{r.i},{r.j},{fmt(r.phi)},"
+            f"{fmt(r.alpha)},{fmt(r.diag_norm_sq)},{fmt(r.offdiag_norm_sq)},"
+            f"{int(r.skipped)}")
+    path = tmp_path / "trace.csv"
+    cli._write_trace(path, records)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
 
 def test_solve_pipeline_normal_fixture(tmp_path):

@@ -210,6 +210,31 @@ def test_skip_rule_run():
     assert res.grad_norm <= 1e-6 * na ** 2
 
 
+@pytest.mark.parametrize("skip_rule", [True, False])
+def test_trace_weights_equal_a_fresh_recompute(monkeypatch, skip_rule):
+    # skipped pivots reuse the weight pair of the record before them; it
+    # must be bitwise the pair of the iterate at that step.  The skip-rule
+    # run has eta skips, the other (tol 1e-16) PHI_SKIP skips.
+    record = jacobi._record
+    skipped = []
+
+    def checked(state, *args):
+        weights = record(state, *args)
+        r = state.trace[-1]
+        assert (r.diag_norm_sq, r.offdiag_norm_sq) == (
+            sn.diag_norm_sq(state.a), sn.offdiag_norm_sq(state.a))
+        skipped.append(r.skipped)
+        return weights
+
+    monkeypatch.setattr(jacobi, "_record", checked)
+    tag = sn.StructureTag.HAMILTONIAN
+    a, _, _ = sn.gen_normal_structured(tag, 5, 75)
+    res = sn.solve(a, tag, sn.SolverConfig(skip_rule=skip_rule, tol=1e-16,
+                                           max_sweeps=30))
+    assert len(skipped) == len(res.trace)
+    assert sum(skipped) > 0
+
+
 def test_trace_layout():
     tag = sn.StructureTag.SKEW_HAMILTONIAN
     a = sn.gen_structured(tag, 3, 76)

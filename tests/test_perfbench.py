@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["figures", "cli-pipeline"])
+@pytest.mark.parametrize("workload", ["figures", "normal-converge",
+                                      "cli-pipeline"])
 def test_traced_benchmark_pass_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
