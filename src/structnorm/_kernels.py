@@ -4,9 +4,10 @@ A plane rotation by the 2x2 Givens block
 
     G = [[c, -s], [conj(s), c]],   c = cos(phi),  s = exp(i*alpha)*sin(phi),
 
-applied as a similarity G^H A G touches two rows and two columns of A.  These
-updates run once per applied pivot inside the Jacobi sweep; at small n the
-per-pivot angle solve costs more than they do.
+applied as a similarity G^H A G touches two rows and two columns of A.  The
+similarity runs once per applied pivot inside the Jacobi sweep; the column
+pass that accumulates Z runs once per layer of disjoint planes, when the
+sweep ends (also when it ends in an error).
 
 ``rotations`` reads ``plane_similarity`` and ``rotate_cols`` as module
 attributes at call time; ``plane_similarity`` reaches its column pass through
@@ -32,13 +33,16 @@ def rotate_rows(a, p, q, c, s):
 
 
 def _rotate_cols(a, p, q, c, s):
+    # p, q, c, s are scalars for one plane, or equal-length arrays for planes
+    # on pairwise disjoint columns, which then rotate at once: column k of
+    # the gathered block pairs with c[k] and s[k]
     xp, xq = a[:, p], a[:, q]
     rp = c * xp
     rp += s.conjugate() * xq
     rq = -s * xp
     rq += c * xq
-    xp[...] = rp
-    xq[...] = rq
+    a[:, p] = rp
+    a[:, q] = rq
 
 
 rotate_cols = _rotate_cols

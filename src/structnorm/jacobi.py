@@ -1,9 +1,10 @@
 """Cyclic Jacobi driver for the nearest structured normal matrix.
 
 Sweeps over the n^2 pivot positions, solves the per-pivot angle problem,
-applies the structure-preserving rotation in place, and accumulates the
-transformation Z.  The diagonal weight ||diag(A_k)||_F^2 never decreases
-because every pivot solution is at least as good as the identity rotation.
+applies the structure-preserving rotation in place, and at the end of each
+sweep accumulates the sweep's rotations into the transformation Z.  The
+diagonal weight ||diag(A_k)||_F^2 never decreases because every pivot
+solution is at least as good as the identity rotation.
 Each sweep sums the exact gains of its applied rotations, counting a double
 rotation twice since it gains in both of its planes.  Once that sum is at
 most tol * ||A||_F^2 the iterate is declared converged and the nearest
@@ -106,7 +107,13 @@ def _total_norm_sq(a: np.ndarray) -> float:
 
 
 def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> JacobiState:
-    """One full pass over the pivot set, mutating the state in place."""
+    """One full pass over the pivot set, mutating the state in place.
+
+    The iterate ``state.a`` is rotated pivot by pivot.  ``state.z`` is brought
+    up to date once, when the sweep ends: one ``apply_right`` call with every
+    rotation the sweep applied.  That call also runs when the sweep raises,
+    so Z always matches the iterate (it then includes the failing rotation).
+    """
     a, z = state.a, state.z
     n = a.shape[0] // 2
     family = tag.family
@@ -123,40 +130,45 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
     if config.skip_rule:
         x_sweep, grad_norm = tangent_gradient(a, family)
 
-    for kind, i, j in pivots:
-        state.step += 1
-        if config.skip_rule:
-            gain = pivot_gain(x_sweep, RotationSpec(kind, i, j, 0.0))
-            if should_skip(gain, grad_norm, n):
+    specs = []  # the applied rotations, accumulated into Z as the sweep ends
+    try:
+        for kind, i, j in pivots:
+            state.step += 1
+            if config.skip_rule:
+                gain = pivot_gain(x_sweep, RotationSpec(kind, i, j, 0.0))
+                if should_skip(gain, grad_norm, n):
+                    if trace:
+                        weights = _record(state, kind, i, j, 0.0, 0.0, True,
+                                          weights)
+                    continue
+            fixed_alpha, single = kinds[kind]
+            problem = AngleProblem.from_matrix(a, i, j, fixed_alpha)
+            if single:
+                sol = solve_angles_fixed_alpha(problem)
+            else:
+                sol = solve_angles(problem)
+            if abs(sol.phi) < PHI_SKIP:
                 if trace:
-                    weights = _record(state, kind, i, j, 0.0, 0.0, True, weights)
+                    weights = _record(state, kind, i, j, sol.phi, sol.alpha,
+                                      True, weights)
                 continue
-        fixed_alpha, single = kinds[kind]
-        problem = AngleProblem.from_matrix(a, i, j, fixed_alpha)
-        if single:
-            sol = solve_angles_fixed_alpha(problem)
-        else:
-            sol = solve_angles(problem)
-        if abs(sol.phi) < PHI_SKIP:
+            spec = RotationSpec(kind, i, j, sol.phi, sol.alpha)
+            apply_similarity(a, spec)
+            specs.append(spec)
+            # the rows of the rotation's planes: (p, q), and for a double
+            # rotation also their mirrors, where its second plane lies
+            p, q = i - 1, j - 1
+            rows = [p, q] if single else [p, q, mirror_index(family, p, n),
+                                          mirror_index(family, q, n)]
+            if not np.isfinite(a[rows]).all():
+                raise NonFiniteError(
+                    f"non-finite entries at sweep {state.sweep + 1}, "
+                    f"step {state.step}, pivot ({i}, {j})")
+            sweep_gain += sol.gain if single else 2.0 * sol.gain
             if trace:
-                weights = _record(state, kind, i, j, sol.phi, sol.alpha, True,
-                                  weights)
-            continue
-        spec = RotationSpec(kind, i, j, sol.phi, sol.alpha)
-        apply_similarity(a, spec)
-        apply_right(z, spec)
-        # the rows of the rotation's planes: (p, q), and for a double
-        # rotation also their mirrors, where its second plane lies
-        p, q = i - 1, j - 1
-        rows = [p, q] if single else [p, q, mirror_index(family, p, n),
-                                      mirror_index(family, q, n)]
-        if not np.isfinite(a[rows]).all():
-            raise NonFiniteError(
-                f"non-finite entries at sweep {state.sweep + 1}, "
-                f"step {state.step}, pivot ({i}, {j})")
-        sweep_gain += sol.gain if single else 2.0 * sol.gain
-        if trace:
-            weights = _record(state, kind, i, j, sol.phi, sol.alpha, False)
+                weights = _record(state, kind, i, j, sol.phi, sol.alpha, False)
+    finally:
+        apply_right(z, *specs)
     state.sweep += 1
     state.sweep_gain = sweep_gain
     return state

@@ -10,11 +10,12 @@ Entries are stored in column-major order and printed with 17 significant
 digits, which round-trips IEEE binary64 values exactly.  The reader takes
 one ``<re> <im>`` pair per line, split on any run of whitespace (so tabs and
 CRLF line ends are fine); the dimensions must be plain ASCII digits, from 1
-to 999999999; and the file must hold exactly rows * cols finite entries,
-with nothing but whitespace after them.  Any other file raises
-:class:`MatrixFileError` (exit code 2 in the CLI).  Both directions stream:
-the reader allocates as it parses, so a header cannot make it reserve
-memory, and the writer formats one column at a time.
+to 999999999; the file must hold exactly rows * cols finite entries, with
+nothing but whitespace after them; and every byte must be ASCII.  Any other
+file raises :class:`MatrixFileError` naming the file (exit code 2 in the
+CLI).  Both directions stream: the reader allocates as it parses, so a
+header cannot make it reserve memory, and the writer formats one column at
+a time.
 """
 from __future__ import annotations
 
@@ -55,7 +56,9 @@ def _dimension(token: str, path) -> int:
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
+    # a byte outside ASCII decodes to a lone surrogate, which no check below
+    # accepts, so it fails the header, entry or trailing data it is in
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != _MAGIC or header[1] != _VERSION \
                 or header[4] != "complex":

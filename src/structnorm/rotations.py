@@ -147,14 +147,30 @@ def apply_similarity(a: np.ndarray, spec: RotationSpec) -> np.ndarray:
     return a
 
 
-def apply_right(z: np.ndarray, spec: RotationSpec) -> np.ndarray:
-    """In-place update Z <- Z R (column mixing only); accumulates transforms."""
+def apply_right(z: np.ndarray, *specs: RotationSpec) -> np.ndarray:
+    """In-place update Z <- Z R_1 R_2 ... R_k (column mixing only).
+
+    Planes on disjoint columns commute exactly, so each plane is put one
+    layer after the last plane that shares a column with it, and each layer
+    is one column pass.  Every column then meets the same planes in the same
+    order as when the rotations are applied one at a time, and Z is bitwise
+    the same.
+    """
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError("matrix must be square")
     n = _half_dim(z.shape[0])
-    c = math.cos(spec.phi)
-    for p, q, s in planes(spec, n):
-        _kernels.rotate_cols(z, p, q, c, s)
+    depth = [0] * (2 * n)  # layers so far that touch each column
+    layers: list[list[tuple[int, int, float, complex]]] = []
+    for spec in specs:
+        c = math.cos(spec.phi)
+        for p, q, s in planes(spec, n):
+            k = max(depth[p], depth[q])
+            depth[p] = depth[q] = k + 1
+            if k == len(layers):
+                layers.append([])
+            layers[k].append((p, q, c, s))
+    for layer in layers:
+        _kernels.rotate_cols(z, *map(np.array, zip(*layer)))
     return z
 
 

@@ -207,11 +207,9 @@ def gen_normal_structured(
     im = rng.choice([-1.0, 1.0], n) * (0.5 + np.abs(rng.standard_normal(n)))
     d = structured_diagonal(tag, re + 1j * im)
 
-    u = np.eye(2 * n, dtype=np.complex128)
     positions = rotations.pivot_set(tag.family, n)
-    for _ in range(n_rot):
-        kind, i, j = positions[rng.integers(len(positions))]
-        spec = rotations.random_spec(kind, i, j, rng)
-        rotations.apply_right(u, spec)
+    specs = [rotations.random_spec(*positions[rng.integers(len(positions))], rng)
+             for _ in range(n_rot)]
+    u = rotations.apply_right(np.eye(2 * n, dtype=np.complex128), *specs)
     a = u @ d @ u.conj().T
     return a, u, d

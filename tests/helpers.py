@@ -14,12 +14,10 @@ def random_problem(rng, fixed_alpha=None):
 def random_structured_unitary(family, n, rotations=60, seed=0):
     """Product of random structure-preserving rotations; unitary by construction."""
     rng = np.random.default_rng(seed)
-    z = np.eye(2 * n, dtype=np.complex128)
     positions = sn.pivot_set(family, n)
-    for _ in range(rotations):
-        kind, i, j = positions[rng.integers(len(positions))]
-        sn.apply_right(z, sn.random_spec(kind, i, j, rng))
-    return z
+    specs = [sn.random_spec(*positions[rng.integers(len(positions))], rng)
+             for _ in range(rotations)]
+    return sn.apply_right(np.eye(2 * n, dtype=np.complex128), *specs)
 
 
 def dense_similarity(a, spec):

@@ -74,6 +74,14 @@ def test_non_finite_file_exits_2(tmp_path):
     assert main(["verify", "--in", str(path), "--structure", "hamiltonian"]) == 2
 
 
+def test_non_ascii_file_exits_2_naming_the_file(tmp_path, capsys):
+    # a no-break space (0xC2 0xA0) inside an entry
+    path = tmp_path / "nbsp.mat"
+    path.write_bytes(b"structnorm-matrix v1 2 1 complex\n0 0\n1\xc2\xa0 0\n")
+    assert main(["verify", "--in", str(path), "--structure", "hamiltonian"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: bad entry on line 3\n"
+
+
 def test_arithmetic_error_exits_2(tmp_path, monkeypatch):
     path = tmp_path / "h.mat"
     sn.write_matrix(path, sn.gen_structured(sn.StructureTag.HAMILTONIAN, 2, 0))

@@ -1,0 +1,44 @@
+"""tools/compare_outputs.py is the bitwise gate of output-preserving changes:
+it must pass a tree against itself and catch a one-ulp change in a kernel."""
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "compare_outputs.py"
+
+# appended to the copy's _kernels.py: every Z column pass runs with c one ulp
+# larger
+_PERTURB = '''
+
+import numpy as np
+
+_exact_rotate_cols = rotate_cols
+
+
+def rotate_cols(a, p, q, c, s):
+    _exact_rotate_cols(a, p, q, np.nextafter(c, 2.0), s)
+'''
+
+
+def _compare(tree_a, tree_b):
+    return subprocess.run(
+        [sys.executable, str(TOOL), str(tree_a), str(tree_b), "--seeds", "1"],
+        capture_output=True, text=True, timeout=600)
+
+
+def test_tree_against_itself_has_no_differences():
+    run = _compare(ROOT, ROOT)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines()[-1].endswith(" 0 differ")
+
+
+def test_one_ulp_in_rotate_cols_is_caught(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    kernels = tmp_path / "src" / "structnorm" / "_kernels.py"
+    kernels.write_text(kernels.read_text() + _PERTURB)
+    run = _compare(ROOT, tmp_path)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "DIFF" in run.stdout

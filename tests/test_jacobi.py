@@ -71,6 +71,36 @@ def test_non_finite_iterate_names_sweep_step_and_pivot(monkeypatch, plane):
                                f"pivot ({spec.i}, {spec.j})")
 
 
+@pytest.mark.parametrize("tag", TAGS)
+def test_sweep_that_raises_still_brings_z_up_to_date(monkeypatch, tag):
+    # Z is updated once, as the sweep ends; a sweep stopped by a non-finite
+    # iterate must still leave Z equal, bit for bit, to the rotations it
+    # applied (the failing one included), taken one at a time
+    n = 3
+    state = jacobi.JacobiState(a=sn.gen_structured(tag, n, 5),
+                               z=np.eye(2 * n, dtype=np.complex128))
+    config = sn.SolverConfig()
+    sn.sweep_once(state, tag, config)
+    want = state.z.copy()
+    original = jacobi.apply_similarity
+    applied = []
+
+    def poisoned(m, spec):
+        original(m, spec)
+        applied.append(spec)
+        if len(applied) == 5:
+            m[spec.i - 1, 0] = np.nan
+        return m
+
+    monkeypatch.setattr(jacobi, "apply_similarity", poisoned)
+    with pytest.raises(sn.NonFiniteError):
+        jacobi.sweep_once(state, tag, config)
+    assert len(applied) == 5
+    for spec in applied:
+        sn.apply_right(want, spec)
+    assert state.z.tobytes() == want.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(tag=st.sampled_from(TAGS), n=st.integers(min_value=1, max_value=3),
        seed=st.integers(min_value=0, max_value=10_000),

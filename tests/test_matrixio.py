@@ -105,6 +105,34 @@ def test_bad_entry_names_its_line(tmp_path, content, line):
         sn.read_matrix(path)
 
 
+_FAR = [b"0 0\n"] * 3000  # 12 kB: past the first block the decoder reads
+_FAR[2499] = b"0\xc2\xa00\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"structnorm-matrix\xc2\xa0v1 2 1 complex\n1 2\n3 4\n", "bad header"),
+    (b"structnorm-matrix v1 2 1 compl\xe9x\n1 2\n3 4\n", "bad header"),
+    # U+00B2 (superscript two) would pass str.isdigit() if it were decoded
+    (b"structnorm-matrix v1 2\xc2\xb2 1 complex\n1 2\n3 4\n",
+     "bad dimensions"),
+    (b"structnorm-matrix v1 2 1 complex\n1 2\n3\xc2\xa04\n",
+     "bad entry on line 3"),
+    (b"structnorm-matrix v1 2 1 complex\n\xff1 2\n3 4\n",
+     "bad entry on line 2"),
+    (b"structnorm-matrix v1 3000 1 complex\n" + b"".join(_FAR),
+     "bad entry on line 2501"),
+    (b"structnorm-matrix v1 2 1 complex\n1 2\n3 4\n\xc2\xa0\n",
+     "data after the 2 entries"),
+])
+def test_non_ascii_byte_is_a_file_error_naming_the_path(tmp_path, content,
+                                                        message):
+    path = tmp_path / "bad.mat"
+    path.write_bytes(content)
+    with pytest.raises(sn.MatrixFileError) as info:
+        sn.read_matrix(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_non_finite_entry_names_its_line(tmp_path):
     path = tmp_path / "bad.mat"
     path.write_text("structnorm-matrix v1 3 1 complex\n1 2\n3 4\n5 nan\n")

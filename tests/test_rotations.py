@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structnorm as sn
+from structnorm import _kernels
 from structnorm.rotations import check_pivot
 
 from helpers import dense_similarity, random_structured_unitary
@@ -127,6 +128,37 @@ def test_apply_right_accumulates_product():
         expected = expected @ sn.build_rotation(spec, 8)
         sn.apply_right(z, spec)
     np.testing.assert_allclose(z, expected, atol=1e-13)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from([sn.SYMPLECTIC, sn.PERPLECTIC]),
+       n=st.integers(min_value=1, max_value=6), data=st.data())
+def test_apply_right_batch_is_bitwise_one_at_a_time(family, n, data):
+    # any run of rotations of the family's three kinds: repeated pivots,
+    # pivots sharing a column, angles over twice the solver's phi domain
+    positions = sn.pivot_set(family, n)
+    angle = st.floats(min_value=-math.pi / 2, max_value=math.pi / 2)
+    picks = data.draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=len(positions) - 1),
+                  angle, angle), max_size=80))
+    specs = [sn.RotationSpec(*positions[k], phi, alpha)
+             for k, phi, alpha in picks]
+    seed = data.draw(st.integers(min_value=0, max_value=10_000))
+    rng = np.random.default_rng(seed)
+    dim = 2 * n
+    z0 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    want = z0.copy()  # one scalar column pass per plane, in order
+    for spec in specs:
+        c = math.cos(spec.phi)
+        for p, q, s in sn.rotations.planes(spec, n):
+            _kernels.rotate_cols(want, p, q, c, s)
+    one_at_a_time = z0.copy()
+    for spec in specs:
+        sn.apply_right(one_at_a_time, spec)
+    got = z0.copy()
+    assert sn.apply_right(got, *specs) is got
+    assert got.tobytes() == want.tobytes()
+    assert one_at_a_time.tobytes() == want.tobytes()
 
 
 def test_double_rotation_diagonal_mirroring():

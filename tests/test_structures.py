@@ -138,6 +138,31 @@ def test_gen_normal_structured(tag):
     np.testing.assert_allclose(u.conj().T @ u, np.eye(10), atol=1e-13)
 
 
+def _gen_normal_one_rotation_at_a_time(tag, n, seed):
+    # gen_normal_structured with one apply_right call per rotation; the
+    # batched call must give the same bits
+    rng = np.random.default_rng(seed)
+    re = rng.choice([-1.0, 1.0], n) * (0.5 + np.abs(rng.standard_normal(n)))
+    im = rng.choice([-1.0, 1.0], n) * (0.5 + np.abs(rng.standard_normal(n)))
+    d = sn.structured_diagonal(tag, re + 1j * im)
+    u = np.eye(2 * n, dtype=np.complex128)
+    positions = sn.pivot_set(tag.family, n)
+    for _ in range(4 * n * n):
+        kind, i, j = positions[rng.integers(len(positions))]
+        sn.apply_right(u, sn.random_spec(kind, i, j, rng))
+    return u @ d @ u.conj().T, u, d
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_gen_normal_structured_bitwise_equals_one_rotation_at_a_time(tag, n):
+    for seed in (0, 7, 90001):
+        got = sn.gen_normal_structured(tag, n, seed)
+        want = _gen_normal_one_rotation_at_a_time(tag, n, seed)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
 def test_gen_normal_structured_deterministic():
     a1, _, _ = sn.gen_normal_structured(sn.StructureTag.HAMILTONIAN, 3, 5)
     a2, _, _ = sn.gen_normal_structured(sn.StructureTag.HAMILTONIAN, 3, 5)
