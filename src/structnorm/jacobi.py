@@ -11,9 +11,12 @@ most tol * ||A||_F^2 the iterate is declared converged and the nearest
 structured normal matrix is assembled as
 
     X = Z diag(Z^H A Z) Z^H.
+
+:func:`iterate` is the loop over sweeps; :func:`solve` adds the stop to it.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +48,8 @@ class SolverConfig:
     trace: bool = True
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be positive and finite")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
 
@@ -186,12 +189,25 @@ def _record(state, kind, i, j, phi, alpha, skipped, weights=None):
     return weights
 
 
+def iterate(a: np.ndarray, tag: StructureTag,
+            config: SolverConfig) -> Iterator[JacobiState]:
+    """Sweep a copy of A from Z = I, yielding the state after each sweep.
+
+    Runs at most ``config.max_sweeps`` sweeps; leave the loop to stop early.
+    Every item is the same state, updated in place by the next sweep.
+    """
+    state = JacobiState(a=np.array(a, dtype=np.complex128, order="C"),
+                        z=np.eye(len(a), dtype=np.complex128))
+    for _ in range(config.max_sweeps):
+        yield sweep_once(state, tag, config)
+
+
 def solve(a: np.ndarray, tag: StructureTag,
           config: SolverConfig | None = None) -> NearestNormalResult:
     """Nearest structured normal matrix to A, with the transformation trace."""
     if config is None:
         config = SolverConfig()
-    a0 = np.array(a, dtype=np.complex128)
+    a0 = np.asarray(a, dtype=np.complex128)
     if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
         raise ValueError("matrix must be square")
     if a0.shape[0] % 2 != 0:
@@ -203,12 +219,9 @@ def solve(a: np.ndarray, tag: StructureTag,
         raise StructureError(
             f"input is not {tag.value} (residual {resid:.3e} > 1e-10)")
 
-    dim = a0.shape[0]
-    state = JacobiState(a=a0.copy(), z=np.eye(dim, dtype=np.complex128))
     stop = config.tol * _total_norm_sq(a0)
     converged = False
-    for _ in range(config.max_sweeps):
-        sweep_once(state, tag, config)
+    for state in iterate(a0, tag, config):
         if state.sweep_gain <= stop:
             converged = True
             break

@@ -41,11 +41,8 @@ def structure_runs():
     for tag in TAGS:
         for k in range(20):
             a = sn.gen_structured(tag, 10, 1000 + k)
-            state = sn.JacobiState(a=a.copy(),
-                                   z=np.eye(20, dtype=np.complex128))
             residuals = []
-            for _ in range(20):
-                sn.sweep_once(state, tag, config)
+            for state in sn.iterate(a, tag, config):
                 residuals.append(sn.check_structure(state.a, tag))
             runs.append({
                 "tag": tag,

@@ -148,6 +148,14 @@ def test_distance_identical_files(tmp_path):
     assert float(proc.stdout.strip()) == 0.0
 
 
+def test_distance_of_different_shapes_exits_2(tmp_path, capsys):
+    a, b = tmp_path / "a.mat", tmp_path / "b.mat"
+    sn.write_matrix(a, sn.make_F(2))
+    sn.write_matrix(b, sn.make_F(3))
+    assert main(["distance", "--a", str(a), "--b", str(b)]) == 2
+    assert "shape mismatch" in capsys.readouterr().err
+
+
 def test_normality_on_unitary(tmp_path):
     path = tmp_path / "j.mat"
     sn.write_matrix(path, sn.make_J(2))
@@ -267,6 +275,15 @@ def test_solve_rejects_wrong_structure_exit_3(tmp_path):
     assert proc.returncode == 3
 
 
+def test_solve_non_finite_tol_exits_2(tmp_path):
+    mat = tmp_path / "a.mat"
+    sn.write_matrix(mat, sn.gen_structured(sn.StructureTag.HAMILTONIAN, 2, 0))
+    for tol in ("nan", "inf"):
+        assert main(["solve", "--in", str(mat), "--structure", "hamiltonian",
+                     "--tol", tol, "--out-normal", str(tmp_path / "x.mat"),
+                     "--out-z", str(tmp_path / "z.mat")]) == 2
+
+
 def test_solve_nonconvergence_still_writes(tmp_path):
     mat = tmp_path / "a.mat"
     main(["gen", "--structure", "hamiltonian", "--n", "6", "--seed", "8",
@@ -290,6 +307,27 @@ def test_seed_env_override(tmp_path):
             env_extra={"STRUCTNORM_SEED": "124"})
     assert f1.read_bytes() == f2.read_bytes()
     assert f1.read_bytes() != f3.read_bytes()
+
+
+def test_bad_seed_env_is_a_usage_error_where_seed_is_used(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setenv("STRUCTNORM_SEED", "abc")
+    mat = tmp_path / "a.mat"
+    gen = ["gen", "--structure", "hamiltonian", "--n", "2", "--out", str(mat)]
+    for argv in (gen, ["experiment", "--figure", "1", "--n", "2",
+                       "--out-dir", str(tmp_path / "fig")]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+    # an explicit --seed, or a subcommand without one, does not read it
+    assert main(gen + ["--seed", "3"]) == 0
+    assert main(["verify", "--in", str(mat), "--structure", "hamiltonian"]) == 0
+
+
+def test_experiment_n_zero_exits_2(tmp_path, capsys):
+    assert main(["experiment", "--figure", "2", "--n", "0",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "n must be >= 1" in capsys.readouterr().err
 
 
 def test_experiment_figure_1(tmp_path):

@@ -19,10 +19,36 @@ def test_distance_to_basic():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        sn.SolverConfig(tol=0.0)
+    # a non-finite tol makes the stop tol * ||A||^2 nan (inf * 0 for the zero
+    # matrix), which no sweep gain is at or below
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            sn.SolverConfig(tol=tol)
     with pytest.raises(ValueError):
         sn.SolverConfig(max_sweeps=0)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_iterate_yields_one_state_per_sweep(tag):
+    a = sn.gen_structured(tag, 3, 11)
+    a0 = a.copy()
+    sweeps = [state.sweep for state in
+              sn.iterate(a, tag, sn.SolverConfig(max_sweeps=4))]
+    assert sweeps == [1, 2, 3, 4]
+    np.testing.assert_array_equal(a, a0)  # the sweeps rotate a copy
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_solve_ends_on_the_state_iterate_yields(tag):
+    a, _, _ = sn.gen_normal_structured(tag, 3, 12)
+    config = sn.SolverConfig(tol=1e-16)
+    res = sn.solve(a, tag, config)
+    assert res.converged and res.sweeps < config.max_sweeps
+    for state in sn.iterate(a, tag, config):
+        if state.sweep == res.sweeps:
+            break
+    assert res.z.tobytes() == state.z.tobytes()
+    assert res.iterate.tobytes() == state.a.tobytes()
 
 
 def test_solve_rejects_bad_structure():
@@ -77,10 +103,8 @@ def test_sweep_that_raises_still_brings_z_up_to_date(monkeypatch, tag):
     # iterate must still leave Z equal, bit for bit, to the rotations it
     # applied (the failing one included), taken one at a time
     n = 3
-    state = jacobi.JacobiState(a=sn.gen_structured(tag, n, 5),
-                               z=np.eye(2 * n, dtype=np.complex128))
-    config = sn.SolverConfig()
-    sn.sweep_once(state, tag, config)
+    states = sn.iterate(sn.gen_structured(tag, n, 5), tag, sn.SolverConfig())
+    state = next(states)
     want = state.z.copy()
     original = jacobi.apply_similarity
     applied = []
@@ -94,7 +118,7 @@ def test_sweep_that_raises_still_brings_z_up_to_date(monkeypatch, tag):
 
     monkeypatch.setattr(jacobi, "apply_similarity", poisoned)
     with pytest.raises(sn.NonFiniteError):
-        jacobi.sweep_once(state, tag, config)
+        next(states)
     assert len(applied) == 5
     for spec in applied:
         sn.apply_right(want, spec)
@@ -198,10 +222,7 @@ def test_solve_invariants_on_generic_fixture(tag):
 def test_sweep_preserves_structure_and_norm(tag):
     a = sn.gen_structured(tag, 5, 73)
     na = np.linalg.norm(a)
-    state = sn.JacobiState(a=a.copy(), z=np.eye(10, dtype=np.complex128))
-    config = sn.SolverConfig()
-    for _ in range(6):
-        sn.sweep_once(state, tag, config)
+    for state in sn.iterate(a, tag, sn.SolverConfig(max_sweeps=6)):
         assert sn.check_structure(state.a, tag) <= 1e-12
         assert abs(np.linalg.norm(state.a) - na) <= 1e-12 * na
 
@@ -209,8 +230,8 @@ def test_sweep_preserves_structure_and_norm(tag):
 def test_sweep_on_diagonal_input_is_noop():
     d = sn.structured_diagonal(sn.StructureTag.PER_HERMITIAN,
                                np.array([2 + 1j, -1 + 3j]))
-    state = sn.JacobiState(a=d.copy(), z=np.eye(4, dtype=np.complex128))
-    sn.sweep_once(state, sn.StructureTag.PER_HERMITIAN, sn.SolverConfig())
+    state = next(sn.iterate(d, sn.StructureTag.PER_HERMITIAN,
+                            sn.SolverConfig()))
     np.testing.assert_array_equal(state.a, d)
     assert state.sweep == 1
     assert state.step == 4
