@@ -207,15 +207,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="structnorm",
         description="Nearest structured normal matrix via Jacobi rotations")
-    # a string default goes through type=int only when --seed is absent
-    seed = os.environ.get("STRUCTNORM_SEED", "0")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random structured fixture")
     p.add_argument("--structure", required=True, choices=_TAG_NAMES)
     p.add_argument("--n", type=int, required=True,
                    help="half-dimension; the matrix is 2n x 2n")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--normal", action="store_true",
                    help="generate a normal (diagonalizable) fixture")
     p.add_argument("--rotations", type=int, default=None,
@@ -254,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure", type=int, required=True, choices=[1, 2, 3, 4])
     p.add_argument("--n", type=int, default=None,
                    help="half-dimension (default per figure: 25, 50, 25, 25)")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_experiment)
     return parser
@@ -263,6 +261,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) is None:  # read only where --seed is used
+        seed = os.environ.get("STRUCTNORM_SEED", "0")
+        try:
+            args.seed = int(seed)
+        except ValueError:
+            parser.error(f"environment variable STRUCTNORM_SEED: invalid int "
+                         f"value: {seed!r}")
     try:
         return args.func(args)
     except _CliError as exc:

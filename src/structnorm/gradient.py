@@ -116,18 +116,18 @@ def pivot_gain(x: np.ndarray, spec: RotationSpec) -> float:
     """
     n = x.shape[0] // 2
     kind, i, j = spec.kind, spec.i, spec.j
-    check_pivot(kind, i, j, n)
-    x_piv = complex(x[i - 1, j - 1])
-    alpha = kind.fixed_alpha
+    alpha = check_pivot(kind, i, j, n).fixed_alpha
+    x_piv = x.item(i - 1, j - 1)
     if alpha is None:
         # e^{-i alpha} = conj(x)/|x|
         alpha = math.atan2(x_piv.imag, x_piv.real) if x_piv != 0 else 0.0
     total = 0.0
     # each plane's s = e^{i alpha'} sin(phi) at phi = pi/2, where sin is
-    # exactly 1, is d s / d phi at phi = 0
+    # exactly 1, is d s / d phi at phi = 0 (Python complex: numpy's bits)
     for p, q, ds in planes(RotationSpec(kind, i, j, math.pi / 2, alpha), n):
-        total += (np.conj(x[p, q]) * (-ds) + np.conj(x[q, p]) * np.conj(ds)).real
-    return abs(float(total))
+        total += (x.item(p, q).conjugate() * (-ds)
+                  + x.item(q, p).conjugate() * ds.conjugate()).real
+    return abs(total)
 
 
 def should_skip(gain: float, grad_norm: float, n: int) -> bool:

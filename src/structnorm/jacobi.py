@@ -163,7 +163,7 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
             p, q = i - 1, j - 1
             rows = [p, q] if single else [p, q, mirror_index(family, p, n),
                                           mirror_index(family, q, n)]
-            if not np.isfinite(a[rows]).all():
+            if not np.isfinite(a.take(rows, 0)).all():
                 raise NonFiniteError(
                     f"non-finite entries at sweep {state.sweep + 1}, "
                     f"step {state.step}, pivot ({i}, {j})")
@@ -215,11 +215,14 @@ def solve(a: np.ndarray, tag: StructureTag,
     if not np.isfinite(a0).all():
         raise NonFiniteError("input matrix has non-finite entries")
     resid = check_structure(a0, tag)
-    if resid > 1e-10:
+    if not resid <= 1e-10:
         raise StructureError(
             f"input is not {tag.value} (residual {resid:.3e} > 1e-10)")
+    norm_sq = _total_norm_sq(a0)
+    if norm_sq == np.inf:
+        raise NonFiniteError("the squared Frobenius norm of the input overflows")
 
-    stop = config.tol * _total_norm_sq(a0)
+    stop = config.tol * norm_sq
     converged = False
     for state in iterate(a0, tag, config):
         if state.sweep_gain <= stop:

@@ -12,10 +12,17 @@ and perskew-Hermitian structure).  Single embeddings have a forced alpha:
 Pivot indices (i, j) are 1-based plane labels, matching the usual Jacobi
 pivot notation; they are translated to 0-based array indices internally.
 A full cyclic sweep visits the n^2 positions returned by :func:`pivot_set`.
+
+What each kind is (family, single or double embedding, forced alpha, the
+test in_set(i, j, n) of its pivots, and the layout(i, j, n, s) of its planes)
+is stated once, in the per-kind table ``_KINDS``, built at import.  The kind
+properties, :func:`check_pivot` and :func:`planes` read it.  It holds nothing
+per pivot position: a one-shot solve would not reuse such a cache.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,23 +42,40 @@ class RotationKind(Enum):
 
     @property
     def family(self) -> str:
-        if self in (RotationKind.SYMP_SINGLE, RotationKind.SYMP_DIRECT_SUM,
-                    RotationKind.SYMP_CONCENTRIC):
-            return SYMPLECTIC
-        return PERPLECTIC
+        return _KINDS[self].family
 
     @property
     def is_single(self) -> bool:
-        return self in (RotationKind.SYMP_SINGLE, RotationKind.PERP_SINGLE)
+        return _KINDS[self].single
 
     @property
     def fixed_alpha(self) -> float | None:
         """Forced alpha for single embeddings, None for double ones."""
-        if self is RotationKind.SYMP_SINGLE:
-            return 0.0
-        if self is RotationKind.PERP_SINGLE:
-            return -math.pi / 2
-        return None
+        return _KINDS[self].fixed_alpha
+
+
+_Kind = namedtuple("_Kind", "family single fixed_alpha in_set layout")
+_KINDS = {
+    RotationKind.SYMP_SINGLE: _Kind(
+        SYMPLECTIC, True, 0.0, lambda i, j, n: 1 <= i <= n and j == n + i,
+        lambda i, j, n, s: [(i - 1, j - 1, s)]),
+    RotationKind.SYMP_DIRECT_SUM: _Kind(
+        SYMPLECTIC, False, None, lambda i, j, n: 1 <= i < j <= n,
+        lambda i, j, n, s: [(i - 1, j - 1, s), (n + i - 1, n + j - 1, s)]),
+    RotationKind.SYMP_CONCENTRIC: _Kind(
+        SYMPLECTIC, False, None, lambda i, j, n: 1 <= i and n + i < j <= 2 * n,
+        lambda i, j, n, s: [(i - 1, j - 1, s), (j - n - 1, n + i - 1, s.conjugate())]),
+    RotationKind.PERP_SINGLE: _Kind(
+        PERPLECTIC, True, -math.pi / 2, lambda i, j, n: 1 <= i <= n and j == 2 * n - i + 1,
+        lambda i, j, n, s: [(i - 1, j - 1, s)]),
+    # perplectic doubles mirror into the flipped plane with -conj(s)
+    RotationKind.PERP_DIRECT_SUM: _Kind(
+        PERPLECTIC, False, None, lambda i, j, n: 1 <= i < j <= n,
+        lambda i, j, n, s: [(i - 1, j - 1, s), (2 * n - j, 2 * n - i, -s.conjugate())]),
+    RotationKind.PERP_INTERLEAVED: _Kind(
+        PERPLECTIC, False, None, lambda i, j, n: 1 <= i and n + 1 <= j <= 2 * n - i,
+        lambda i, j, n, s: [(i - 1, j - 1, s), (2 * n - j, 2 * n - i, -s.conjugate())]),
+}
 
 
 @dataclass(frozen=True)
@@ -65,23 +89,14 @@ class RotationSpec:
     alpha: float = 0.0
 
 
-def check_pivot(kind: RotationKind, i: int, j: int, n: int) -> None:
-    """Raise ValueError unless (i, j) is a valid pivot for the kind at half-dimension n."""
-    ok = False
-    if kind is RotationKind.SYMP_SINGLE:
-        ok = 1 <= i <= n and j == n + i
-    elif kind is RotationKind.SYMP_DIRECT_SUM or kind is RotationKind.PERP_DIRECT_SUM:
-        ok = 1 <= i < j <= n
-    elif kind is RotationKind.SYMP_CONCENTRIC:
-        ok = 1 <= i and n + i < j <= 2 * n
-    elif kind is RotationKind.PERP_SINGLE:
-        ok = 1 <= i <= n and j == 2 * n - i + 1
-    elif kind is RotationKind.PERP_INTERLEAVED:
-        ok = 1 <= i and n + 1 <= j <= 2 * n - i
-    if not ok:
+def check_pivot(kind: RotationKind, i: int, j: int, n: int) -> _Kind:
+    """The kind's table row; ValueError unless (i, j) is its pivot at half-dimension n."""
+    kind_row = _KINDS[kind]
+    if not kind_row.in_set(i, j, n):
         raise ValueError(
             f"pivot ({i}, {j}) is outside the pivot set of {kind.value} for n={n}"
         )
+    return kind_row
 
 
 def planes(spec: RotationSpec, n: int) -> list[tuple[int, int, complex]]:
@@ -90,20 +105,13 @@ def planes(spec: RotationSpec, n: int) -> list[tuple[int, int, complex]]:
     Each plane carries the block [[c, -s], [conj(s), c]] at rows/columns
     (p, q); c = cos(phi) is shared by all planes of the rotation.
     """
-    kind, i, j = spec.kind, spec.i, spec.j
-    check_pivot(kind, i, j, n)
-    alpha = kind.fixed_alpha
+    i, j = spec.i, spec.j
+    kind_row = check_pivot(spec.kind, i, j, n)
+    alpha = kind_row.fixed_alpha
     if alpha is None:
         alpha = spec.alpha
     s = complex(math.cos(alpha), math.sin(alpha)) * math.sin(spec.phi)
-    if kind is RotationKind.SYMP_SINGLE or kind is RotationKind.PERP_SINGLE:
-        return [(i - 1, j - 1, s)]
-    if kind is RotationKind.SYMP_DIRECT_SUM:
-        return [(i - 1, j - 1, s), (n + i - 1, n + j - 1, s)]
-    if kind is RotationKind.SYMP_CONCENTRIC:
-        return [(i - 1, j - 1, s), (j - n - 1, n + i - 1, s.conjugate())]
-    # perplectic doubles mirror into the flipped plane with -conj(s)
-    return [(i - 1, j - 1, s), (2 * n - j, 2 * n - i, -s.conjugate())]
+    return kind_row.layout(i, j, n, s)
 
 
 def mirror_index(family: str, k: int, n: int) -> int:

@@ -111,6 +111,27 @@ def test_solve_huge_entries_exits_0(tmp_path, capsys):
     assert huge["distance"] == pytest.approx(1e80 * base["distance"], rel=1e-10)
 
 
+def test_extreme_scales_keep_their_exit_codes(tmp_path, capsys):
+    path, x, z = (str(tmp_path / f) for f in ("a.mat", "x.mat", "z.mat"))
+    solve = ["solve", "--in", path, "--structure", "hamiltonian",
+             "--out-normal", x, "--out-z", z]
+    # not Hamiltonian: exit 3 at any scale, and verify prints the residual
+    a = sn.gen_structured(sn.StructureTag.HAMILTONIAN, 2, 0)
+    a[0, 1] += 1.0
+    printed = []
+    for scale in (1.0, 2.0 ** 600):
+        sn.write_matrix(path, scale * a)
+        assert main(solve) == 3
+        assert main(["verify", "--in", path, "--structure", "hamiltonian"]) == 1
+        printed.append(capsys.readouterr().out.splitlines()[-1])
+    assert printed[0] == printed[1] != "nan"
+    # Hamiltonian, but ||A||_F^2 overflows: exit 2, naming the overflow
+    sn.write_matrix(path, 2.0 ** 510 * sn.gen_structured(
+        sn.StructureTag.HAMILTONIAN, 3, 0))
+    assert main(solve) == 2
+    assert "squared Frobenius norm of the input overflows" in capsys.readouterr().err
+
+
 def test_solve_zero_matrix_converges_in_one_sweep(tmp_path, capsys):
     path = tmp_path / "zero.mat"
     sn.write_matrix(path, np.zeros((6, 6), dtype=complex))
@@ -310,7 +331,7 @@ def test_seed_env_override(tmp_path):
 
 
 def test_bad_seed_env_is_a_usage_error_where_seed_is_used(tmp_path,
-                                                          monkeypatch):
+                                                          monkeypatch, capsys):
     monkeypatch.setenv("STRUCTNORM_SEED", "abc")
     mat = tmp_path / "a.mat"
     gen = ["gen", "--structure", "hamiltonian", "--n", "2", "--out", str(mat)]
@@ -319,6 +340,10 @@ def test_bad_seed_env_is_a_usage_error_where_seed_is_used(tmp_path,
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
+        # the message names the variable, not an option the user never gave
+        err = capsys.readouterr().err
+        assert "STRUCTNORM_SEED" in err and "'abc'" in err
+        assert "--seed" not in err.splitlines()[-1]
     # an explicit --seed, or a subcommand without one, does not read it
     assert main(gen + ["--seed", "3"]) == 0
     assert main(["verify", "--in", str(mat), "--structure", "hamiltonian"]) == 0

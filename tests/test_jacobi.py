@@ -139,6 +139,17 @@ def test_solve_is_invariant_under_power_of_two_scaling(tag, n, seed, k,
     assert scaled.distance == pytest.approx(2.0 ** k * base.distance, rel=1e-10)
 
 
+def test_solve_rejects_input_whose_squared_norm_overflows():
+    # ||A||_F^2 of this fixture is 45.6: times 2^509 it stays below 2^1024,
+    # times 2^510 it overflows, which the angle solve cannot survive
+    a = sn.gen_structured(sn.StructureTag.HAMILTONIAN, 3, 0)
+    base = sn.solve(a, sn.StructureTag.HAMILTONIAN)
+    scaled = sn.solve(a * 2.0 ** 509, sn.StructureTag.HAMILTONIAN)
+    assert scaled.distance == 2.0 ** 509 * base.distance
+    with pytest.raises(sn.NonFiniteError, match="squared Frobenius norm"):
+        sn.solve(a * 2.0 ** 510, sn.StructureTag.HAMILTONIAN)
+
+
 @pytest.mark.parametrize("case", ["diagonal", "zero", "n=1"])
 @pytest.mark.parametrize("tag", TAGS, ids=lambda tag: tag.value)
 def test_structured_diagonal_input_needs_no_rotations(tag, case):

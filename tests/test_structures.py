@@ -38,6 +38,19 @@ def test_check_structure_known_cases():
     assert sn.check_structure(np.eye(6), sn.StructureTag.SKEW_HAMILTONIAN) == 0.0
 
 
+@pytest.mark.parametrize("tag", TAGS)
+def test_check_structure_is_scale_invariant_past_norm_overflow(tag):
+    # ||A||_F overflows from entries of about 2^512 on; the residual of A
+    # scaled by a power of two must still be the unscaled one, not nan
+    broken = sn.gen_structured(tag, 2, 5)
+    broken[0, 1] += 1.0
+    for a in (sn.gen_structured(tag, 2, 5), broken):
+        want = sn.check_structure(a, tag)
+        for k in (0, 520, 600, 1000):
+            assert sn.check_structure(a * 2.0 ** k, tag) == want
+    assert sn.check_structure(broken * 2.0 ** 600, tag) > 0.1
+
+
 def test_check_structure_rejects_nonsquare():
     with pytest.raises(ValueError):
         sn.check_structure(np.zeros((2, 3)), sn.StructureTag.HAMILTONIAN)
