@@ -13,7 +13,8 @@ from .jacobi import (NearestNormalResult, NonFiniteError, SolverConfig,
 from .matrixio import MatrixFileError, read_matrix, write_matrix
 from .rotations import (RotationKind, RotationSpec, apply_right,
                         apply_similarity, build_rotation,
-                        is_structure_preserving, pivot_set, random_spec)
+                        is_structure_preserving, pivot_set, planes,
+                        random_spec)
 from .structures import (PERPLECTIC, SYMPLECTIC, StructureTag,
                          check_structure, diag_norm_sq, frob_norm,
                          gen_normal_structured, gen_structured, make_F,
@@ -30,7 +31,7 @@ __all__ = [
     "distance_to", "eta", "eval_g", "frob_norm", "gen_normal_structured",
     "gen_structured", "grad_f", "grid_oracle", "is_structure_preserving",
     "iterate", "make_F", "make_J", "offdiag_norm_sq", "pivot_gain",
-    "pivot_set", "project_tangent", "random_spec", "read_matrix",
+    "pivot_set", "planes", "project_tangent", "random_spec", "read_matrix",
     "should_skip", "solve", "solve_angles", "solve_angles_fixed_alpha",
     "structured_diagonal", "tangent_gradient", "write_matrix",
 ]

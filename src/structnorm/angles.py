@@ -72,9 +72,9 @@ def _parts(problem: AngleProblem):
             problem.a_ji.real, problem.a_ji.imag)
 
 
-def _invariants(problem: AngleProblem):
+def _invariants(parts):
     """The five entry combinations the stationarity conditions are built from."""
-    x_ii, y_ii, x_jj, y_jj, x_ij, y_ij, x_ji, y_ji = _parts(problem)
+    x_ii, y_ii, x_jj, y_jj, x_ij, y_ij, x_ji, y_ji = parts
     s1 = (x_ij + x_ji) * (x_ii - x_jj) + (y_ij + y_ji) * (y_ii - y_jj)
     s2 = (x_ii - x_jj) * (y_ij - y_ji) + (x_ji - x_ij) * (y_ii - y_jj)
     s3 = (x_ij * x_ij + x_ji * x_ji + y_ij * y_ij + y_ji * y_ji
@@ -157,8 +157,8 @@ def _top_eigenvalue(s1, s2, s3, p, q):
         x = nxt
 
 
-def _rescaled(problem: AngleProblem) -> tuple[AngleProblem, int]:
-    """The problem times 2**-e and e, with e != 0 only for extreme scales.
+def _rescaled(problem: AngleProblem) -> tuple[tuple[float, ...], int]:
+    """The problem's 8 real parts times 2**-e, and e; e != 0 only at extreme scales.
 
     det(xI - K) has coefficients of degree 6 in the entries, so they overflow
     or underflow far inside the float range.  When the largest real or
@@ -168,20 +168,15 @@ def _rescaled(problem: AngleProblem) -> tuple[AngleProblem, int]:
     ``**`` is libm ``pow``, which is not exactly homogeneous, so rescaling
     every pivot would move the last bits of ordinary solutions.
     """
-    big = max(map(abs, _parts(problem)))
+    parts = _parts(problem)
+    big = max(map(abs, parts))
     if _SCALE_LO <= big <= _SCALE_HI:
-        return problem, 0
+        return parts, 0
     e = math.frexp(big)[1]
-
-    def down(z):
-        return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e))
-
-    return AngleProblem(down(problem.a_ii), down(problem.a_ij),
-                        down(problem.a_ji), down(problem.a_jj),
-                        problem.fixed_alpha), e
+    return tuple(math.ldexp(x, -e) for x in parts), e
 
 
-def _best_phi(problem: AngleProblem, scale_exp: int, inv, alpha: float,
+def _best_phi(parts, scale_exp: int, inv, alpha: float,
               case: str) -> AngleSolution:
     """The best rotation at alpha, or the identity when it gains nothing.
 
@@ -192,7 +187,7 @@ def _best_phi(problem: AngleProblem, scale_exp: int, inv, alpha: float,
     gain = _gain(pc, qc, phi)
     if not gain > 0.0:  # pc = qc = 0 gives atan2(0.0, -0.0) = pi
         phi, gain, case = 0.0, 0.0, "trivial"
-    x_ii, y_ii, x_jj, y_jj = _parts(problem)[:4]
+    x_ii, y_ii, x_jj, y_jj = parts[:4]
     g0 = x_ii ** 2 + y_ii ** 2 + x_jj ** 2 + y_jj ** 2
     return AngleSolution(phi, alpha, math.ldexp(g0 + gain, 2 * scale_exp),
                          math.ldexp(gain, 2 * scale_exp), case)
@@ -202,15 +197,15 @@ def solve_angles(problem: AngleProblem) -> AngleSolution:
     """Maximize g over both angles (free-alpha mode, double embeddings)."""
     if problem.fixed_alpha is not None:
         raise ValueError("problem has fixed alpha; use solve_angles_fixed_alpha")
-    problem, scale_exp = _rescaled(problem)
-    inv = _invariants(problem)
+    parts, scale_exp = _rescaled(problem)
+    inv = _invariants(parts)
     s1, s2, s3, p, q = inv
     f = _top_eigenvalue(*inv)
     # eliminating y3 from (K - F I) y = 0 leaves a 2x2 system in (y1, y2)
     # whose null vector lies at this polar angle
     alpha = 0.5 * math.atan2(4.0 * f * q + 4.0 * s1 * s2,
                              4.0 * f * p + 2.0 * (s1 * s1 - s2 * s2))
-    return _best_phi(problem, scale_exp, inv, alpha, "cubic")
+    return _best_phi(parts, scale_exp, inv, alpha, "cubic")
 
 
 def solve_angles_fixed_alpha(problem: AngleProblem) -> AngleSolution:
@@ -218,9 +213,8 @@ def solve_angles_fixed_alpha(problem: AngleProblem) -> AngleSolution:
     alpha = problem.fixed_alpha
     if alpha is None:
         raise ValueError("problem has free alpha; use solve_angles")
-    problem, scale_exp = _rescaled(problem)
-    return _best_phi(problem, scale_exp, _invariants(problem), alpha,
-                     "fixed_1d")
+    parts, scale_exp = _rescaled(problem)
+    return _best_phi(parts, scale_exp, _invariants(parts), alpha, "fixed_1d")
 
 
 def grid_oracle(problem: AngleProblem, grid: int) -> tuple[float, float, float]:

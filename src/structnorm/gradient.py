@@ -53,23 +53,39 @@ def project_tangent(y: np.ndarray, family: str) -> np.ndarray:
     return (w - w.conj().T[::-1, ::-1]) / 2
 
 
+def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
+    """X * 2**e, part by part: 2**e alone may overflow."""
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    return np.ldexp(x.view(np.float64), e).view(np.complex128)
+
+
 def _norm(x: np.ndarray) -> float:
     """||X||_F, recomputed on X scaled by a power of two when the sum of
     squares overflows or leaves the normal range (np.linalg.norm does not
     scale); other values keep the bits of np.linalg.norm.
     """
-    norm = float(np.linalg.norm(x))
+    with np.errstate(over="ignore"):  # rescued below
+        norm = float(np.linalg.norm(x))
     if not 2.0 ** -480 <= norm < math.inf and np.isfinite(x).all():
         _, e = math.frexp(float(np.abs(x).max()))
-        norm = math.ldexp(float(np.linalg.norm(x * math.ldexp(1.0, -e))), e)
+        norm = float(np.ldexp(np.linalg.norm(_ldexp(x, -e)), e))
     return norm
 
 
 def _gradient(m: np.ndarray, family: str):
-    """(Y, X, ||X||_F) at the similarity iterate M = Z^H A Z."""
+    """(Y, X, ||X||_F) at the similarity iterate M = Z^H A Z.
+
+    Y is quadratic in M, so it can overflow where M does not; X is then
+    recomputed from M * 2**-e and scaled back by 2**(2e), and Y keeps its
+    overflow.  Other values keep their bits.
+    """
     d = np.diagonal(m)
-    y = 2.0 * m * d.conj()[None, :] + 2.0 * m.conj().T * d[None, :]
-    x = project_tangent(y, family)
+    with np.errstate(over="ignore", invalid="ignore"):  # rescued below
+        y = 2.0 * m * d.conj()[None, :] + 2.0 * m.conj().T * d[None, :]
+        x = project_tangent(y, family)
+    if not np.isfinite(x).all() and np.isfinite(m).all():
+        _, e = math.frexp(float(np.abs(m).max()))
+        x = _ldexp(_gradient(_ldexp(m, -e), family)[1], 2 * e)
     return y, x, _norm(x)
 
 
@@ -124,7 +140,7 @@ def pivot_gain(x: np.ndarray, spec: RotationSpec) -> float:
     total = 0.0
     # each plane's s = e^{i alpha'} sin(phi) at phi = pi/2, where sin is
     # exactly 1, is d s / d phi at phi = 0 (Python complex: numpy's bits)
-    for p, q, ds in planes(RotationSpec(kind, i, j, math.pi / 2, alpha), n):
+    for p, q, _, ds in planes(RotationSpec(kind, i, j, math.pi / 2, alpha), n):
         total += (x.item(p, q).conjugate() * (-ds)
                   + x.item(q, p).conjugate() * ds.conjugate()).real
     return abs(total)

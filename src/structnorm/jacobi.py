@@ -23,8 +23,8 @@ import numpy as np
 
 from .angles import AngleProblem, solve_angles, solve_angles_fixed_alpha
 from .gradient import pivot_gain, should_skip, tangent_gradient
-from .rotations import (RotationSpec, apply_right, apply_similarity,
-                        mirror_index, pivot_set)
+from .rotations import (RotationKind, RotationSpec, apply_right,
+                        apply_similarity, pivot_set, planes)
 from .structures import (StructureTag, check_structure, diag_norm_sq,
                          offdiag_norm_sq)
 
@@ -119,21 +119,19 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
     """
     a, z = state.a, state.z
     n = a.shape[0] // 2
-    family = tag.family
-    pivots = pivot_set(family, n, config.ordering)
+    pivots = pivot_set(tag.family, n, config.ordering)
     trace = config.trace
-    # (fixed alpha, single embedding) of each kind in the sweep
-    kinds = {kind: (kind.fixed_alpha, kind.is_single)
-             for kind in {kind for kind, _, _ in pivots}}
+    # the fixed alpha of each kind; None for double embeddings
+    fixed_alphas = {kind: kind.fixed_alpha for kind in RotationKind}
 
     x_sweep = None
     grad_norm = 0.0
     sweep_gain = 0.0
     weights = None  # (diag, offdiag) weight of ``a`` at the last record
     if config.skip_rule:
-        x_sweep, grad_norm = tangent_gradient(a, family)
+        x_sweep, grad_norm = tangent_gradient(a, tag.family)
 
-    specs = []  # the applied rotations, accumulated into Z as the sweep ends
+    applied = []  # plane lists, accumulated into Z as the sweep ends
     try:
         for kind, i, j in pivots:
             state.step += 1
@@ -144,34 +142,30 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
                         weights = _record(state, kind, i, j, 0.0, 0.0, True,
                                           weights)
                     continue
-            fixed_alpha, single = kinds[kind]
+            fixed_alpha = fixed_alphas[kind]
             problem = AngleProblem.from_matrix(a, i, j, fixed_alpha)
-            if single:
-                sol = solve_angles_fixed_alpha(problem)
-            else:
+            if fixed_alpha is None:
                 sol = solve_angles(problem)
+            else:
+                sol = solve_angles_fixed_alpha(problem)
             if abs(sol.phi) < PHI_SKIP:
                 if trace:
                     weights = _record(state, kind, i, j, sol.phi, sol.alpha,
                                       True, weights)
                 continue
-            spec = RotationSpec(kind, i, j, sol.phi, sol.alpha)
-            apply_similarity(a, spec)
-            specs.append(spec)
-            # the rows of the rotation's planes: (p, q), and for a double
-            # rotation also their mirrors, where its second plane lies
-            p, q = i - 1, j - 1
-            rows = [p, q] if single else [p, q, mirror_index(family, p, n),
-                                          mirror_index(family, q, n)]
+            rotation = planes(RotationSpec(kind, i, j, sol.phi, sol.alpha), n)
+            apply_similarity(a, rotation)
+            applied.append(rotation)
+            rows = [r for p, q, _, _ in rotation for r in (p, q)]
             if not np.isfinite(a.take(rows, 0)).all():
                 raise NonFiniteError(
                     f"non-finite entries at sweep {state.sweep + 1}, "
                     f"step {state.step}, pivot ({i}, {j})")
-            sweep_gain += sol.gain if single else 2.0 * sol.gain
+            sweep_gain += sol.gain * len(rotation)  # a gain in each plane
             if trace:
                 weights = _record(state, kind, i, j, sol.phi, sol.alpha, False)
     finally:
-        apply_right(z, *specs)
+        apply_right(z, *applied)
     state.sweep += 1
     state.sweep_gain = sweep_gain
     return state
@@ -219,8 +213,10 @@ def solve(a: np.ndarray, tag: StructureTag,
         raise StructureError(
             f"input is not {tag.value} (residual {resid:.3e} > 1e-10)")
     norm_sq = _total_norm_sq(a0)
-    if norm_sq == np.inf:
+    if not norm_sq < np.inf:  # inf, or nan from inf - inf
         raise NonFiniteError("the squared Frobenius norm of the input overflows")
+    if norm_sq < 2.0 ** -1022 and a0.any():
+        raise NonFiniteError("the squared Frobenius norm of the input underflows")
 
     stop = config.tol * norm_sq
     converged = False

@@ -14,10 +14,15 @@ pivot notation; they are translated to 0-based array indices internally.
 A full cyclic sweep visits the n^2 positions returned by :func:`pivot_set`.
 
 What each kind is (family, single or double embedding, forced alpha, the
-test in_set(i, j, n) of its pivots, and the layout(i, j, n, s) of its planes)
-is stated once, in the per-kind table ``_KINDS``, built at import.  The kind
-properties, :func:`check_pivot` and :func:`planes` read it.  It holds nothing
-per pivot position: a one-shot solve would not reuse such a cache.
+test in_set(i, j, n) of its pivots, and the layout(i, j, n, c, s) of its
+planes) is stated once, in the per-kind table ``_KINDS``, built at import.
+The kind properties, :func:`check_pivot` and :func:`planes` read it.  It holds
+nothing per pivot position: a one-shot solve would not reuse such a cache.
+
+A rotation is applied as its plane list ``planes(spec, n)``: one 0-based
+(p, q, c, s) per embedded block.  :func:`planes` alone checks the pivot,
+evaluates the trig and lays out the planes; :func:`apply_similarity` and
+:func:`apply_right` take its lists as they are.
 """
 from __future__ import annotations
 
@@ -58,23 +63,23 @@ _Kind = namedtuple("_Kind", "family single fixed_alpha in_set layout")
 _KINDS = {
     RotationKind.SYMP_SINGLE: _Kind(
         SYMPLECTIC, True, 0.0, lambda i, j, n: 1 <= i <= n and j == n + i,
-        lambda i, j, n, s: [(i - 1, j - 1, s)]),
+        lambda i, j, n, c, s: [(i - 1, j - 1, c, s)]),
     RotationKind.SYMP_DIRECT_SUM: _Kind(
         SYMPLECTIC, False, None, lambda i, j, n: 1 <= i < j <= n,
-        lambda i, j, n, s: [(i - 1, j - 1, s), (n + i - 1, n + j - 1, s)]),
+        lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (n + i - 1, n + j - 1, c, s)]),
     RotationKind.SYMP_CONCENTRIC: _Kind(
         SYMPLECTIC, False, None, lambda i, j, n: 1 <= i and n + i < j <= 2 * n,
-        lambda i, j, n, s: [(i - 1, j - 1, s), (j - n - 1, n + i - 1, s.conjugate())]),
+        lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (j - n - 1, n + i - 1, c, s.conjugate())]),
     RotationKind.PERP_SINGLE: _Kind(
         PERPLECTIC, True, -math.pi / 2, lambda i, j, n: 1 <= i <= n and j == 2 * n - i + 1,
-        lambda i, j, n, s: [(i - 1, j - 1, s)]),
+        lambda i, j, n, c, s: [(i - 1, j - 1, c, s)]),
     # perplectic doubles mirror into the flipped plane with -conj(s)
     RotationKind.PERP_DIRECT_SUM: _Kind(
         PERPLECTIC, False, None, lambda i, j, n: 1 <= i < j <= n,
-        lambda i, j, n, s: [(i - 1, j - 1, s), (2 * n - j, 2 * n - i, -s.conjugate())]),
+        lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (2 * n - j, 2 * n - i, c, -s.conjugate())]),
     RotationKind.PERP_INTERLEAVED: _Kind(
         PERPLECTIC, False, None, lambda i, j, n: 1 <= i and n + 1 <= j <= 2 * n - i,
-        lambda i, j, n, s: [(i - 1, j - 1, s), (2 * n - j, 2 * n - i, -s.conjugate())]),
+        lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (2 * n - j, 2 * n - i, c, -s.conjugate())]),
 }
 
 
@@ -99,11 +104,11 @@ def check_pivot(kind: RotationKind, i: int, j: int, n: int) -> _Kind:
     return kind_row
 
 
-def planes(spec: RotationSpec, n: int) -> list[tuple[int, int, complex]]:
-    """Embedded Givens planes as (p, q, s) with 0-based p < q.
+def planes(spec: RotationSpec, n: int) -> list[tuple[int, int, float, complex]]:
+    """The rotation's plane list: embedded Givens planes (p, q, c, s), 0-based p < q.
 
     Each plane carries the block [[c, -s], [conj(s), c]] at rows/columns
-    (p, q); c = cos(phi) is shared by all planes of the rotation.
+    (p, q); c = cos(phi) is the same in all planes of the rotation.
     """
     i, j = spec.i, spec.j
     kind_row = check_pivot(spec.kind, i, j, n)
@@ -111,18 +116,7 @@ def planes(spec: RotationSpec, n: int) -> list[tuple[int, int, complex]]:
     if alpha is None:
         alpha = spec.alpha
     s = complex(math.cos(alpha), math.sin(alpha)) * math.sin(spec.phi)
-    return kind_row.layout(i, j, n, s)
-
-
-def mirror_index(family: str, k: int, n: int) -> int:
-    """The 0-based index that J (symplectic) or F (perplectic) pairs with k.
-
-    The second plane of a double rotation lies on the mirrors of the first
-    plane's indices; a single rotation's plane is its own mirror.
-    """
-    if family == SYMPLECTIC:
-        return (k + n) % (2 * n)
-    return 2 * n - 1 - k
+    return kind_row.layout(i, j, n, math.cos(spec.phi), s)
 
 
 def _half_dim(dim: int) -> int:
@@ -135,8 +129,7 @@ def build_rotation(spec: RotationSpec, dim: int) -> np.ndarray:
     """Explicit dim x dim rotation matrix."""
     n = _half_dim(dim)
     r = np.eye(dim, dtype=np.complex128)
-    c = math.cos(spec.phi)
-    for p, q, s in planes(spec, n):
+    for p, q, c, s in planes(spec, n):
         r[p, p] = c
         r[p, q] = -s
         r[q, p] = np.conj(s)
@@ -144,19 +137,17 @@ def build_rotation(spec: RotationSpec, dim: int) -> np.ndarray:
     return r
 
 
-def apply_similarity(a: np.ndarray, spec: RotationSpec) -> np.ndarray:
-    """In-place update A <- R^H A R, touching only the embedded rows/columns."""
+def apply_similarity(a: np.ndarray, rotation: list) -> np.ndarray:
+    """In-place update A <- R^H A R for the plane list R, on its rows/columns."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    n = _half_dim(a.shape[0])
-    c = math.cos(spec.phi)
-    for p, q, s in planes(spec, n):
+    for p, q, c, s in rotation:
         _kernels.plane_similarity(a, p, q, c, s)
     return a
 
 
-def apply_right(z: np.ndarray, *specs: RotationSpec) -> np.ndarray:
-    """In-place update Z <- Z R_1 R_2 ... R_k (column mixing only).
+def apply_right(z: np.ndarray, *rotations: list) -> np.ndarray:
+    """In-place update Z <- Z R_1 R_2 ... R_k for plane lists R_i (columns only).
 
     Planes on disjoint columns commute exactly, so each plane is put one
     layer after the last plane that shares a column with it, and each layer
@@ -166,17 +157,16 @@ def apply_right(z: np.ndarray, *specs: RotationSpec) -> np.ndarray:
     """
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError("matrix must be square")
-    n = _half_dim(z.shape[0])
-    depth = [0] * (2 * n)  # layers so far that touch each column
+    depth = [0] * z.shape[0]  # layers so far that touch each column
     layers: list[list[tuple[int, int, float, complex]]] = []
-    for spec in specs:
-        c = math.cos(spec.phi)
-        for p, q, s in planes(spec, n):
+    for rotation in rotations:
+        for plane in rotation:
+            p, q = plane[0], plane[1]
             k = max(depth[p], depth[q])
             depth[p] = depth[q] = k + 1
             if k == len(layers):
                 layers.append([])
-            layers[k].append((p, q, c, s))
+            layers[k].append(plane)
     for layer in layers:
         _kernels.rotate_cols(z, *map(np.array, zip(*layer)))
     return z

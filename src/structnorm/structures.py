@@ -219,6 +219,7 @@ def gen_normal_structured(
     positions = rotations.pivot_set(tag.family, n)
     specs = [rotations.random_spec(*positions[rng.integers(len(positions))], rng)
              for _ in range(n_rot)]
-    u = rotations.apply_right(np.eye(2 * n, dtype=np.complex128), *specs)
+    u = rotations.apply_right(np.eye(2 * n, dtype=np.complex128),
+                              *(rotations.planes(spec, n) for spec in specs))
     a = u @ d @ u.conj().T
     return a, u, d

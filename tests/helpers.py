@@ -17,7 +17,8 @@ def random_structured_unitary(family, n, rotations=60, seed=0):
     positions = sn.pivot_set(family, n)
     specs = [sn.random_spec(*positions[rng.integers(len(positions))], rng)
              for _ in range(rotations)]
-    return sn.apply_right(np.eye(2 * n, dtype=np.complex128), *specs)
+    return sn.apply_right(np.eye(2 * n, dtype=np.complex128),
+                          *(sn.planes(spec, n) for spec in specs))
 
 
 def dense_similarity(a, spec):

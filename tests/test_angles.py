@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structnorm as sn
-from structnorm.angles import _invariants
+from structnorm.angles import _invariants, _parts
 
 from helpers import random_problem, submatrix_oracle_g
 
@@ -46,7 +46,7 @@ def test_eval_g_broadcasts():
 
 
 def _k_matrix(pr):
-    s1, s2, s3, p, q = _invariants(pr)
+    s1, s2, s3, p, q = _invariants(_parts(pr))
     return np.array([[2 * (s3 + 2 * p), 4 * q, 2 * s1],
                      [4 * q, 2 * (s3 - 2 * p), 2 * s2],
                      [2 * s1, 2 * s2, 0.0]])

@@ -130,6 +130,13 @@ def test_extreme_scales_keep_their_exit_codes(tmp_path, capsys):
         sn.StructureTag.HAMILTONIAN, 3, 0))
     assert main(solve) == 2
     assert "squared Frobenius norm of the input overflows" in capsys.readouterr().err
+    # Hamiltonian and tiny: solved at 2^-510, where ||A||_F^2 is still a
+    # normal float; exit 2 at 2^-540, where it underflows
+    for k, code in ((-510, 0), (-540, 2)):
+        sn.write_matrix(path, 2.0 ** k * sn.gen_structured(
+            sn.StructureTag.HAMILTONIAN, 3, 0))
+        assert main(solve) == code
+    assert "squared Frobenius norm of the input underflows" in capsys.readouterr().err
 
 
 def test_solve_zero_matrix_converges_in_one_sweep(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,21 +82,22 @@ def test_non_finite_iterate_names_sweep_step_and_pivot(monkeypatch, plane):
     original = jacobi.apply_similarity
     first = []
 
-    def poisoned(m, spec):
-        original(m, spec)
+    def poisoned(m, rotation):
+        original(m, rotation)
         if not first:
-            first.append(spec)
-            row = sn.rotations.planes(spec, n)[plane][1]
+            first.append(rotation)
+            row = rotation[plane][1]
             m[row, 0] = np.nan
         return m
 
     monkeypatch.setattr(jacobi, "apply_similarity", poisoned)
     with pytest.raises(sn.NonFiniteError) as info:
         sn.solve(a, tag)
-    spec = first[0]
-    step = sn.pivot_set(tag.family, n).index((spec.kind, spec.i, spec.j)) + 1
+    # the first plane of a rotation lies at its pivot (i, j), 0-based
+    i, j = first[0][0][0] + 1, first[0][0][1] + 1
+    step = [(pi, pj) for _, pi, pj in sn.pivot_set(tag.family, n)].index((i, j)) + 1
     assert str(info.value) == (f"non-finite entries at sweep 1, step {step}, "
-                               f"pivot ({spec.i}, {spec.j})")
+                               f"pivot ({i}, {j})")
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -109,45 +112,64 @@ def test_sweep_that_raises_still_brings_z_up_to_date(monkeypatch, tag):
     original = jacobi.apply_similarity
     applied = []
 
-    def poisoned(m, spec):
-        original(m, spec)
-        applied.append(spec)
+    def poisoned(m, rotation):
+        original(m, rotation)
+        applied.append(rotation)
         if len(applied) == 5:
-            m[spec.i - 1, 0] = np.nan
+            m[rotation[0][0], 0] = np.nan
         return m
 
     monkeypatch.setattr(jacobi, "apply_similarity", poisoned)
     with pytest.raises(sn.NonFiniteError):
         next(states)
     assert len(applied) == 5
-    for spec in applied:
-        sn.apply_right(want, spec)
+    for rotation in applied:
+        sn.apply_right(want, rotation)
     assert state.z.tobytes() == want.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
 @given(tag=st.sampled_from(TAGS), n=st.integers(min_value=1, max_value=3),
        seed=st.integers(min_value=0, max_value=10_000),
-       k=st.integers(min_value=-400, max_value=400), skip_rule=st.booleans())
+       k=st.integers(min_value=-545, max_value=525), skip_rule=st.booleans())
 def test_solve_is_invariant_under_power_of_two_scaling(tag, n, seed, k,
                                                         skip_rule):
+    # accepted exactly when log2 ||A 2^k||_F^2 lies in [-1022, 1024)
     a = sn.gen_structured(tag, n, seed)
     config = sn.SolverConfig(skip_rule=skip_rule)
     base = sn.solve(a, tag, config)
+    norm_sq = float(np.vdot(a, a).real)
+    if not -1022 <= math.log2(norm_sq) + 2 * k < 1024:
+        with pytest.raises(sn.NonFiniteError, match="squared Frobenius norm"):
+            sn.solve(a * 2.0 ** k, tag, config)
+        return
     scaled = sn.solve(a * 2.0 ** k, tag, config)
     np.testing.assert_allclose(scaled.z, base.z, rtol=0, atol=1e-10)
     assert scaled.distance == pytest.approx(2.0 ** k * base.distance, rel=1e-10)
+    # the gradient is quadratic in A, and not bitwise invariant
+    assert math.isfinite(scaled.grad_norm)
+    assert abs(scaled.grad_norm - math.ldexp(base.grad_norm, 2 * k)) <= (
+        1e-12 * math.ldexp(norm_sq, 2 * k))
 
 
 def test_solve_rejects_input_whose_squared_norm_overflows():
     # ||A||_F^2 of this fixture is 45.6: times 2^509 it stays below 2^1024,
     # times 2^510 it overflows, which the angle solve cannot survive
-    a = sn.gen_structured(sn.StructureTag.HAMILTONIAN, 3, 0)
-    base = sn.solve(a, sn.StructureTag.HAMILTONIAN)
-    scaled = sn.solve(a * 2.0 ** 509, sn.StructureTag.HAMILTONIAN)
+    tag = sn.StructureTag.HAMILTONIAN
+    a = sn.gen_structured(tag, 3, 0)
+    base = sn.solve(a, tag)
+    scaled = sn.solve(a * 2.0 ** 509, tag)
     assert scaled.distance == 2.0 ** 509 * base.distance
-    with pytest.raises(sn.NonFiniteError, match="squared Frobenius norm"):
-        sn.solve(a * 2.0 ** 510, sn.StructureTag.HAMILTONIAN)
+    with pytest.raises(sn.NonFiniteError, match="norm of the input overflows"):
+        sn.solve(a * 2.0 ** 510, tag)
+    # finite entries whose vdot is nan + nan j, not inf
+    big = sn.gen_structured(tag, 3, 6775) * 2.0 ** 516
+    assert np.isfinite(big).all()
+    with pytest.raises(sn.NonFiniteError, match="norm of the input overflows"):
+        sn.solve(big, tag)
+    # times 2^-540 the squared norm is 0.0 (the zero matrix stays accepted)
+    with pytest.raises(sn.NonFiniteError, match="norm of the input underflows"):
+        sn.solve(a * 2.0 ** -540, tag)
 
 
 @pytest.mark.parametrize("case", ["diagonal", "zero", "n=1"])
@@ -295,6 +317,27 @@ def test_trace_weights_equal_a_fresh_recompute(monkeypatch, skip_rule):
                                            max_sweeps=30))
     assert len(skipped) == len(res.trace)
     assert sum(skipped) > 0
+
+
+@pytest.mark.parametrize("skip_rule", [True, False])
+def test_planes_run_once_per_applied_pivot(monkeypatch, skip_rule):
+    # one plane list per applied pivot feeds the similarity, the finite
+    # check and the Z layers; skipped pivots make none
+    planes = jacobi.planes
+    calls = []
+
+    def counted(spec, n):
+        calls.append((spec.kind.value, spec.i, spec.j, spec.phi, spec.alpha))
+        return planes(spec, n)
+
+    monkeypatch.setattr(jacobi, "planes", counted)
+    tag = sn.StructureTag.HAMILTONIAN
+    a, _, _ = sn.gen_normal_structured(tag, 5, 75)
+    res = sn.solve(a, tag, sn.SolverConfig(skip_rule=skip_rule, tol=1e-16,
+                                           max_sweeps=30))
+    assert any(r.skipped for r in res.trace)
+    assert calls == [(r.kind, r.i, r.j, r.phi, r.alpha)
+                     for r in res.trace if not r.skipped]
 
 
 def test_trace_layout():

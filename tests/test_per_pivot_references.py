@@ -61,14 +61,15 @@ def _ref_planes(spec, n):
     alpha = _ref_fixed_alpha(kind)
     if alpha is None:
         alpha = spec.alpha
+    c = math.cos(spec.phi)
     s = complex(math.cos(alpha), math.sin(alpha)) * math.sin(spec.phi)
     if kind is K.SYMP_SINGLE or kind is K.PERP_SINGLE:
-        return [(i - 1, j - 1, s)]
+        return [(i - 1, j - 1, c, s)]
     if kind is K.SYMP_DIRECT_SUM:
-        return [(i - 1, j - 1, s), (n + i - 1, n + j - 1, s)]
+        return [(i - 1, j - 1, c, s), (n + i - 1, n + j - 1, c, s)]
     if kind is K.SYMP_CONCENTRIC:
-        return [(i - 1, j - 1, s), (j - n - 1, n + i - 1, s.conjugate())]
-    return [(i - 1, j - 1, s), (2 * n - j, 2 * n - i, -s.conjugate())]
+        return [(i - 1, j - 1, c, s), (j - n - 1, n + i - 1, c, s.conjugate())]
+    return [(i - 1, j - 1, c, s), (2 * n - j, 2 * n - i, c, -s.conjugate())]
 
 
 def _ref_pivot_gain(x, spec):
@@ -80,7 +81,7 @@ def _ref_pivot_gain(x, spec):
     if alpha is None:
         alpha = math.atan2(x_piv.imag, x_piv.real) if x_piv != 0 else 0.0
     total = 0.0
-    for p, q, ds in _ref_planes(sn.RotationSpec(kind, i, j, math.pi / 2, alpha), n):
+    for p, q, _, ds in _ref_planes(sn.RotationSpec(kind, i, j, math.pi / 2, alpha), n):
         total += (np.conj(x[p, q]) * (-ds) + np.conj(x[q, p]) * np.conj(ds)).real
     return abs(float(total))
 
@@ -99,7 +100,7 @@ def _ref_offdiag_norm_sq(a):
 def _bits(value):
     """Hashable bits of a float, a complex or a list of planes; -0.0 != 0.0."""
     if isinstance(value, list):
-        return [(p, q, _bits(s)) for p, q, s in value]
+        return [(p, q, _bits(c), _bits(s)) for p, q, c, s in value]
     if isinstance(value, complex):
         return (value.real.hex(), value.imag.hex())
     assert type(value) is float

@@ -65,7 +65,7 @@ def test_apply_similarity_matches_dense_product(spec):
     rng = np.random.default_rng(3)
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     expected = dense_similarity(a, spec)
-    got = sn.apply_similarity(a.copy(), spec)
+    got = sn.apply_similarity(a.copy(), sn.planes(spec, 4))
     assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(a)
 
 
@@ -73,13 +73,14 @@ def test_apply_similarity_phi_zero_is_noop():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     spec = sn.RotationSpec(sn.RotationKind.SYMP_DIRECT_SUM, 1, 2, 0.0, 0.7)
-    np.testing.assert_array_equal(sn.apply_similarity(a.copy(), spec), a)
+    np.testing.assert_array_equal(
+        sn.apply_similarity(a.copy(), sn.planes(spec, 3)), a)
 
 
 def test_apply_similarity_rejects_nonsquare():
     spec = sn.RotationSpec(sn.RotationKind.SYMP_SINGLE, 1, 3, 0.1)
     with pytest.raises(ValueError):
-        sn.apply_similarity(np.zeros((4, 6), dtype=complex), spec)
+        sn.apply_similarity(np.zeros((4, 6), dtype=complex), sn.planes(spec, 2))
 
 
 @pytest.mark.parametrize("tag,kinds", [
@@ -103,7 +104,7 @@ def test_similarity_preserves_structure(tag, kinds):
         if kind not in kinds:
             continue
         spec = sn.random_spec(kind, i, j, rng)
-        sn.apply_similarity(a, spec)
+        sn.apply_similarity(a, sn.planes(spec, n))
         assert sn.check_structure(a, tag) <= 1e-13
     assert abs(np.linalg.norm(a) - na) <= 1e-13 * na
 
@@ -115,7 +116,7 @@ def test_similarity_preserves_frobenius_norm(seed):
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     na = np.linalg.norm(a)
     for spec in _all_specs(4, seed):
-        sn.apply_similarity(a, spec)
+        sn.apply_similarity(a, sn.planes(spec, 4))
     assert abs(np.linalg.norm(a) - na) <= 1e-13 * na
 
 
@@ -126,7 +127,7 @@ def test_apply_right_accumulates_product():
     expected = np.eye(8, dtype=np.complex128)
     for spec in specs:
         expected = expected @ sn.build_rotation(spec, 8)
-        sn.apply_right(z, spec)
+        sn.apply_right(z, sn.planes(spec, 4))
     np.testing.assert_allclose(z, expected, atol=1e-13)
 
 
@@ -150,13 +151,14 @@ def test_apply_right_batch_is_bitwise_one_at_a_time(family, n, data):
     want = z0.copy()  # one scalar column pass per plane, in order
     for spec in specs:
         c = math.cos(spec.phi)
-        for p, q, s in sn.rotations.planes(spec, n):
+        for p, q, _, s in sn.planes(spec, n):
             _kernels.rotate_cols(want, p, q, c, s)
+    rotations = [sn.planes(spec, n) for spec in specs]
     one_at_a_time = z0.copy()
-    for spec in specs:
-        sn.apply_right(one_at_a_time, spec)
+    for rotation in rotations:
+        sn.apply_right(one_at_a_time, rotation)
     got = z0.copy()
-    assert sn.apply_right(got, *specs) is got
+    assert sn.apply_right(got, *rotations) is got
     assert got.tobytes() == want.tobytes()
     assert one_at_a_time.tobytes() == want.tobytes()
 
@@ -166,7 +168,7 @@ def test_double_rotation_diagonal_mirroring():
     a = sn.gen_structured(sn.StructureTag.HAMILTONIAN, n, 23)
     rng = np.random.default_rng(8)
     for kind, i, j in sn.pivot_set(sn.SYMPLECTIC, n):
-        sn.apply_similarity(a, sn.random_spec(kind, i, j, rng))
+        sn.apply_similarity(a, sn.planes(sn.random_spec(kind, i, j, rng), n))
         for k in range(n):
             assert abs(abs(a[n + k, n + k].real) - abs(a[k, k].real)) <= 1e-12
             assert abs(abs(a[n + k, n + k].imag) - abs(a[k, k].imag)) <= 1e-12
@@ -218,21 +220,10 @@ def test_pivot_set_covers_upper_triangle_with_mirrors(family):
     covered = []
     for kind, i, j in sn.pivot_set(family, n):
         spec = sn.RotationSpec(kind, i, j, 0.1, 0.2)
-        covered.extend((p, q) for p, q, _ in sn.rotations.planes(spec, n))
+        covered.extend((p, q) for p, q, _, _ in sn.planes(spec, n))
     expected = {(p, q) for p in range(2 * n) for q in range(p + 1, 2 * n)}
     assert set(covered) == expected
     assert len(covered) == len(expected)  # each position exactly once
-
-
-@pytest.mark.parametrize("family", [sn.SYMPLECTIC, sn.PERPLECTIC])
-def test_mirror_index_gives_the_rows_of_every_plane(family):
-    for n in (1, 2, 3, 5):
-        for kind, i, j in sn.pivot_set(family, n):
-            spec = sn.RotationSpec(kind, i, j, 0.3, 0.2)
-            rows = {r for p, q, _ in sn.rotations.planes(spec, n) for r in (p, q)}
-            mirrored = {r for k in (i - 1, j - 1)
-                        for r in (k, sn.rotations.mirror_index(family, k, n))}
-            assert mirrored == rows
 
 
 def test_same_orderings_same_positions():

@@ -162,7 +162,7 @@ def _gen_normal_one_rotation_at_a_time(tag, n, seed):
     positions = sn.pivot_set(tag.family, n)
     for _ in range(4 * n * n):
         kind, i, j = positions[rng.integers(len(positions))]
-        sn.apply_right(u, sn.random_spec(kind, i, j, rng))
+        sn.apply_right(u, sn.planes(sn.random_spec(kind, i, j, rng), n))
     return u @ d @ u.conj().T, u, d
 
 
