@@ -1,4 +1,4 @@
-"""Plane rotation kernels, vectorized with numpy.
+"""Plane rotation kernels: LAPACK ``zrot`` for the similarity, numpy for Z.
 
 A plane rotation by the 2x2 Givens block
 
@@ -9,13 +9,34 @@ similarity runs once per applied pivot inside the Jacobi sweep; the column
 pass that accumulates Z runs once per layer of disjoint planes, when the
 sweep ends (also when it ends in an error).
 
+``plane_similarity`` is two calls of LAPACK ``zrot`` (x <- c*x + s*y,
+y <- c*y - conj(s)*x), on rows p, q with s and on columns p, q with conj(s).
+The routine is ``scipy_zrot_64_`` of the ILP64 OpenBLAS that numpy bundles,
+found through ctypes on the handle of ``numpy.linalg._umath_linalg`` (dlsym
+also searches the libraries it loaded), so scipy is never imported.  Without
+it ``BACKEND`` is ``"numpy"`` and ``plane_similarity`` is
+``numpy_plane_similarity``.  Inputs the raw pointers cannot serve safely (not
+a writable, C-contiguous, square complex128 matrix, or p, q not distinct
+in-range ints) take the numpy kernel, with its results and errors.  Each call
+builds its own arguments and holds the GIL, so threads may solve at once.
+zrot rounds a few entries differently from numpy and OpenBLAS picks its code
+per CPU, so bits are reproducible on one machine, not across CPU families.
+
+Z stays on the numpy column pass, one call per layer of disjoint planes:
+one zrot call per plane or per layer was measured slower.
+
 ``rotations`` reads ``plane_similarity`` and ``rotate_cols`` as module
-attributes at call time; ``plane_similarity`` reaches its column pass through
-``_rotate_cols``, so the attribute ``rotate_cols`` is only called for Z.
+attributes at call time; ``numpy_plane_similarity`` reaches its column pass
+through ``_rotate_cols``, so the attribute ``rotate_cols`` is only called
+for Z.
 """
 from __future__ import annotations
 
-BACKEND = "numpy"
+import ctypes
+import struct
+
+import numpy as np
+from numpy.linalg import _umath_linalg
 
 
 # Each new row or column is built in place as c*x_p + s*x_q (and its mate),
@@ -48,6 +69,49 @@ def _rotate_cols(a, p, q, c, s):
 rotate_cols = _rotate_cols
 
 
-def plane_similarity(a, p, q, c, s):
+def numpy_plane_similarity(a, p, q, c, s):
     rotate_rows(a, p, q, c, s)
     _rotate_cols(a, p, q, c, s)
+
+
+def _lookup_zrot(path):
+    """``zrot`` of numpy's ILP64 OpenBLAS, reached through the library at path, or None."""
+    try:
+        zrot = ctypes.PyDLL(path).scipy_zrot_64_
+    except (OSError, AttributeError):
+        return None
+    # every argument is a pointer; the scalars are passed as immutable bytes
+    zrot.argtypes = [ctypes.c_void_p] * 7
+    zrot.restype = None
+    return zrot
+
+
+_zrot = _lookup_zrot(_umath_linalg.__file__)
+_COMPLEX128 = np.dtype(np.complex128)
+_int64 = struct.Struct("=q").pack
+_double = struct.Struct("=d").pack
+_complex = struct.Struct("=2d").pack
+_ONE = _int64(1)
+
+
+def _zrot_plane_similarity(a, p, q, c, s):
+    if a.dtype == _COMPLEX128 and a.ndim == 2 and type(p) is type(q) is int:
+        m = a.shape[0]
+        if a.shape[1] == m and 0 <= p < m and 0 <= q < m and p != q:
+            try:  # TypeError: read-only, or not C-contiguous
+                buf = ctypes.c_char.from_buffer(a)  # pins a until zrot returns
+                cc, re, im = _double(c), s.real, s.imag
+            except (TypeError, struct.error):  # struct.error: c is not real
+                pass
+            else:
+                base, dim, row = ctypes.addressof(buf), _int64(m), 16 * m
+                _zrot(dim, base + row * p, _ONE, base + row * q, _ONE, cc,
+                      _complex(re, im))
+                _zrot(dim, base + 16 * p, dim, base + 16 * q, dim, cc,
+                      _complex(re, -im))
+                return
+    numpy_plane_similarity(a, p, q, c, s)
+
+
+BACKEND = "numpy" if _zrot is None else "openblas-zrot"
+plane_similarity = numpy_plane_similarity if _zrot is None else _zrot_plane_similarity

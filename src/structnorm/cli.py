@@ -102,6 +102,8 @@ def _write_trace(path, records) -> None:
 
 def cmd_verify(args) -> int:
     tag = StructureTag.from_name(args.structure)
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        raise _CliError(2, "tol must be non-negative and finite")
     resid = check_structure(_read(args.infile), tag)
     print(_fmt(resid))
     return 0 if resid <= args.tol else 1

@@ -88,21 +88,26 @@ def _defining_product(a: np.ndarray, tag: StructureTag) -> np.ndarray:
 
 
 def check_structure(a: np.ndarray, tag: StructureTag) -> float:
-    """Relative residual of the defining identity, ||S - sigma*S^H||_F / max(1, ||A||_F).
+    """Relative residual of the defining identity, ||S - sigma*S^H||_F / ||A||_F.
 
-    Zero means the structure holds exactly; the caller picks the tolerance.
-    When a norm overflows, A is scaled by a power of two that brings its
-    largest part into [1, 2): then ||A||_F >= 1, and the quotient is the same.
-    Other values keep the bits of the plain quotient.
+    Zero means the structure holds exactly (the zero matrix gives 0.0); the
+    caller picks the tolerance.  The quotient does not change when A is
+    scaled by a power of two.  When a norm overflows, or ||A||_F < 2^-480
+    (where squares of entries start to underflow), A is first scaled by a
+    power of two that brings its largest part into [1, 2).
     """
     a = np.asarray(a)
     s = _defining_product(a, tag)
     with np.errstate(over="ignore"):  # an overflow is handled below
         resid, norm = np.linalg.norm(s - tag.sign * s.conj().T), np.linalg.norm(a)
-    if not (math.isfinite(resid) and math.isfinite(norm)) and np.isfinite(a).all():
-        _, e = math.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))
-        return check_structure(a * math.ldexp(1.0, 1 - e), tag)
-    return float(resid / max(1.0, norm))
+    finite = math.isfinite(resid) and math.isfinite(norm)
+    if (not finite or norm < 2.0 ** -480) and np.isfinite(a).all():
+        big = max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0))
+        if big == 0.0:
+            return 0.0
+        _, e = math.frexp(big)  # 2^1023 is the largest power of two
+        return check_structure(a * math.ldexp(1.0, min(1 - e, 1023)), tag)
+    return float(resid / norm)
 
 
 def frob_norm(a: np.ndarray) -> float:

@@ -68,6 +68,19 @@ def test_verify_failure_exits_1(tmp_path):
     assert float(proc.stdout.strip()) > 1e-10
 
 
+def test_verify_tol_must_be_non_negative_and_finite(tmp_path, capsys):
+    path = tmp_path / "j.mat"
+    sn.write_matrix(path, sn.make_J(3))
+    verify = ["verify", "--in", str(path), "--structure", "hamiltonian"]
+    for tol in ("-1", "nan", "inf", "-inf"):
+        assert main([*verify, f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol must be non-negative and finite\n"
+    assert main([*verify, "--tol", "0"]) == 0
+    assert float(capsys.readouterr().out) == 0.0
+
+
 def test_non_finite_file_exits_2(tmp_path):
     path = tmp_path / "nan.mat"
     path.write_text("structnorm-matrix v1 2 1 complex\n0 0\nnan 0\n")
@@ -137,6 +150,24 @@ def test_extreme_scales_keep_their_exit_codes(tmp_path, capsys):
             sn.StructureTag.HAMILTONIAN, 3, 0))
         assert main(solve) == code
     assert "squared Frobenius norm of the input underflows" in capsys.readouterr().err
+
+
+def test_small_non_structured_inputs_exit_3_at_every_scale(tmp_path, capsys):
+    # the structure gate is relative: scaling the input down does not let a
+    # non-Hamiltonian matrix through, and verify prints the same residual
+    path, x, z = (str(tmp_path / f) for f in ("a.mat", "x.mat", "z.mat"))
+    solve = ["solve", "--in", path, "--structure", "hamiltonian",
+             "--out-normal", x, "--out-z", z]
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    printed = set()
+    for k in (0, -20, -40, -100, -300, -505):
+        sn.write_matrix(path, 2.0 ** k * a)
+        assert main(solve) == 3
+        assert "input is not hamiltonian" in capsys.readouterr().err
+        assert main(["verify", "--in", path, "--structure", "hamiltonian"]) == 1
+        printed.add(capsys.readouterr().out)
+    assert len(printed) == 1
 
 
 def test_solve_zero_matrix_converges_in_one_sweep(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """tools/compare_outputs.py is the bitwise gate of output-preserving changes:
 it must pass a tree against itself and catch a one-ulp change in a kernel."""
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -31,7 +32,8 @@ def _compare(tree_a, tree_b):
 def test_tree_against_itself_has_no_differences():
     run = _compare(ROOT, ROOT)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert run.stdout.splitlines()[-1].endswith(" 0 differ")
+    assert run.stdout.splitlines()[-1].endswith(
+        " 0 differ, 0 failed on A, 0 failed on B")
 
 
 def test_one_ulp_in_rotate_cols_is_caught(tmp_path):
@@ -42,3 +44,28 @@ def test_one_ulp_in_rotate_cols_is_caught(tmp_path):
     run = _compare(ROOT, tmp_path)
     assert run.returncode == 1, run.stdout + run.stderr
     assert "DIFF" in run.stdout
+
+
+def _record(op, sha, problems=()):
+    return {"workload": "w", "seed": 1, "op": op, "sha256": sha,
+            "problems": list(problems)}
+
+
+def test_summary_counts_the_failed_operations_of_each_tree(monkeypatch, capsys):
+    # a change that moves bits on purpose is judged by the failure counts
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    runs = {"A": [_record("x", "1"), _record("y", "2", ["bad"]),
+                  _record("z", "3")],
+            "B": [_record("x", "4", ["bad", "worse"]), _record("y", "5", ["bad"]),
+                  _record("z", "3", ["new"])]}
+    monkeypatch.setattr(tool, "_spawn", lambda tree, seeds: None)
+    monkeypatch.setattr(tool, "_collect", lambda tree, proc: runs[tree.name])
+    assert tool.main(["A", "B"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "3 operations, 3 differ, 1 failed on A, 3 failed on B"
+    runs["B"] = runs["A"]
+    assert tool.main(["A", "B"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "3 operations, 0 differ, 1 failed on A, 1 failed on B")

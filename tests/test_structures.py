@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import structnorm as sn
@@ -49,6 +51,33 @@ def test_check_structure_is_scale_invariant_past_norm_overflow(tag):
         for k in (0, 520, 600, 1000):
             assert sn.check_structure(a * 2.0 ** k, tag) == want
     assert sn.check_structure(broken * 2.0 ** 600, tag) > 0.1
+
+
+@settings(max_examples=80, deadline=None)
+@given(tag=st.sampled_from(TAGS), seed=st.integers(min_value=0, max_value=10_000),
+       k=st.integers(min_value=-520, max_value=520))
+def test_non_structured_input_is_rejected_at_every_accepted_scale(tag, seed, k):
+    # relative at every scale: the residual of A 2^k is that of A, bit for
+    # bit, and solve rejects A 2^k wherever it accepts the norm of A 2^k
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    assume(-1022 <= math.log2(float(np.vdot(a, a).real)) + 2 * k < 1024)
+    want = sn.check_structure(a, tag)
+    assert want > 0.1
+    assert sn.check_structure(a * 2.0 ** k, tag) == want
+    with pytest.raises(sn.StructureError):
+        sn.solve(a * 2.0 ** k, tag)
+
+
+def test_check_structure_of_zero_and_subnormal_matrices():
+    tag = sn.StructureTag.HAMILTONIAN
+    assert sn.check_structure(np.zeros((4, 4)), tag) == 0.0
+    j = sn.make_J(2)
+    assert sn.check_structure(j * 2.0 ** -1070, tag) == 0.0
+    broken = j.copy()
+    broken[0, 1] = 1.0
+    want = sn.check_structure(broken, tag)
+    assert sn.check_structure(broken * 2.0 ** -1070, tag) == want
 
 
 def test_check_structure_rejects_nonsquare():

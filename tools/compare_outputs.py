@@ -8,9 +8,13 @@ Each tree is a checkout with ``src/structnorm``.  For every seed, one pass of
 each workload in ``perfbench/workloads.py`` (this repository's copy, so both
 trees run the same benchmark code) is run against each tree, each tree in
 its own subprocess, the two side by side.  Every operation's output fingerprint is hashed with
-sha256 and printed with the checks it failed.  The exit status is 0 when both
-trees give the same hashes and the same failed checks for every operation,
-1 when any differ, and 2 when a tree cannot be run.
+sha256 and printed with the checks it failed.  The last line sums this up as
+``N operations, D differ, F_A failed on A, F_B failed on B``, where F_A and
+F_B count the operations of each tree that failed at least one check: a
+change that moves output bits on purpose is judged by those two counts, not
+by D.  The exit status is 0 when both trees give the same hashes and the
+same failed checks for every operation, 1 when any differ, and 2 when a tree
+cannot be run.
 """
 from __future__ import annotations
 
@@ -114,7 +118,9 @@ def main(argv=None) -> int:
     if len(runs[0]) != len(runs[1]):
         print(f"operation counts differ: {len(runs[0])} and {len(runs[1])}")
         differ += 1
-    print(f"{len(runs[0])} operations, {differ} differ")
+    failed = [sum(bool(rec["problems"]) for rec in run) for run in runs]
+    print(f"{len(runs[0])} operations, {differ} differ, "
+          f"{failed[0]} failed on A, {failed[1]} failed on B")
     return 1 if differ else 0
 
 
