@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 from .angles import AngleProblem, solve_angles, solve_angles_fixed_alpha
 from .gradient import pivot_gain, should_skip, tangent_gradient
-from .rotations import (RotationKind, RotationSpec, apply_right,
+from .rotations import (_ORDERINGS, RotationKind, RotationSpec, apply_right,
                         apply_similarity, pivot_set, planes)
 from .structures import (StructureTag, check_structure, diag_norm_sq,
                          offdiag_norm_sq)
@@ -50,8 +51,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be positive and finite")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
+        if not isinstance(self.max_sweeps, Integral) or self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be an integer >= 1")
+        if str(self.ordering).upper() not in _ORDERINGS:
+            raise ValueError(f"unknown ordering: {self.ordering!r}")
 
 
 @dataclass

@@ -13,11 +13,12 @@ Pivot indices (i, j) are 1-based plane labels, matching the usual Jacobi
 pivot notation; they are translated to 0-based array indices internally.
 A full cyclic sweep visits the n^2 positions returned by :func:`pivot_set`.
 
-What each kind is (family, single or double embedding, forced alpha, the
-test in_set(i, j, n) of its pivots, and the layout(i, j, n, c, s) of its
-planes) is stated once, in the per-kind table ``_KINDS``, built at import.
-The kind properties, :func:`check_pivot` and :func:`planes` read it.  It holds
-nothing per pivot position: a one-shot solve would not reuse such a cache.
+What each kind is (its family; its forced alpha, None for a double
+embedding; the bounds cols(i, n) of its pivot columns in each row i; and the
+layout(i, j, n, c, s) of its planes) is stated once, in the per-kind table
+``_KINDS``, built at import.  The kind properties, :func:`pivot_set`,
+:func:`check_pivot` and :func:`planes` read it.  It holds nothing per pivot
+position: a one-shot solve would not reuse such a cache.
 
 A rotation is applied as its plane list ``planes(spec, n)``: one 0-based
 (p, q, c, s) per embedded block.  :func:`planes` alone checks the pivot,
@@ -30,6 +31,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -45,13 +47,16 @@ class RotationKind(Enum):
     PERP_DIRECT_SUM = "perp-direct-sum"
     PERP_INTERLEAVED = "perp-interleaved"
 
+    # members are singletons; Enum's own hash runs Python code per lookup
+    __hash__ = object.__hash__
+
     @property
     def family(self) -> str:
         return _KINDS[self].family
 
     @property
     def is_single(self) -> bool:
-        return _KINDS[self].single
+        return _KINDS[self].fixed_alpha is not None
 
     @property
     def fixed_alpha(self) -> float | None:
@@ -59,26 +64,28 @@ class RotationKind(Enum):
         return _KINDS[self].fixed_alpha
 
 
-_Kind = namedtuple("_Kind", "family single fixed_alpha in_set layout")
+_Kind = namedtuple("_Kind", "family fixed_alpha cols layout")
+# cols(i, n) bounds the pivot columns lo <= j < hi of row i, 1 <= i <= n.
+# Each family's rows are in O1 order: direct sum, single, the other double.
 _KINDS = {
-    RotationKind.SYMP_SINGLE: _Kind(
-        SYMPLECTIC, True, 0.0, lambda i, j, n: 1 <= i <= n and j == n + i,
-        lambda i, j, n, c, s: [(i - 1, j - 1, c, s)]),
     RotationKind.SYMP_DIRECT_SUM: _Kind(
-        SYMPLECTIC, False, None, lambda i, j, n: 1 <= i < j <= n,
+        SYMPLECTIC, None, lambda i, n: (i + 1, n + 1),
         lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (n + i - 1, n + j - 1, c, s)]),
-    RotationKind.SYMP_CONCENTRIC: _Kind(
-        SYMPLECTIC, False, None, lambda i, j, n: 1 <= i and n + i < j <= 2 * n,
-        lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (j - n - 1, n + i - 1, c, s.conjugate())]),
-    RotationKind.PERP_SINGLE: _Kind(
-        PERPLECTIC, True, -math.pi / 2, lambda i, j, n: 1 <= i <= n and j == 2 * n - i + 1,
+    RotationKind.SYMP_SINGLE: _Kind(
+        SYMPLECTIC, 0.0, lambda i, n: (n + i, n + i + 1),
         lambda i, j, n, c, s: [(i - 1, j - 1, c, s)]),
+    RotationKind.SYMP_CONCENTRIC: _Kind(
+        SYMPLECTIC, None, lambda i, n: (n + i + 1, 2 * n + 1),
+        lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (j - n - 1, n + i - 1, c, s.conjugate())]),
     # perplectic doubles mirror into the flipped plane with -conj(s)
     RotationKind.PERP_DIRECT_SUM: _Kind(
-        PERPLECTIC, False, None, lambda i, j, n: 1 <= i < j <= n,
+        PERPLECTIC, None, lambda i, n: (i + 1, n + 1),
         lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (2 * n - j, 2 * n - i, c, -s.conjugate())]),
+    RotationKind.PERP_SINGLE: _Kind(
+        PERPLECTIC, -math.pi / 2, lambda i, n: (2 * n - i + 1, 2 * n - i + 2),
+        lambda i, j, n, c, s: [(i - 1, j - 1, c, s)]),
     RotationKind.PERP_INTERLEAVED: _Kind(
-        PERPLECTIC, False, None, lambda i, j, n: 1 <= i and n + 1 <= j <= 2 * n - i,
+        PERPLECTIC, None, lambda i, n: (n + 1, 2 * n - i + 1),
         lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (2 * n - j, 2 * n - i, c, -s.conjugate())]),
 }
 
@@ -97,11 +104,15 @@ class RotationSpec:
 def check_pivot(kind: RotationKind, i: int, j: int, n: int) -> _Kind:
     """The kind's table row; ValueError unless (i, j) is its pivot at half-dimension n."""
     kind_row = _KINDS[kind]
-    if not kind_row.in_set(i, j, n):
-        raise ValueError(
-            f"pivot ({i}, {j}) is outside the pivot set of {kind.value} for n={n}"
-        )
-    return kind_row
+    try:
+        lo, hi = kind_row.cols(index(i), n)
+        if 1 <= i <= n and lo <= index(j) < hi:
+            return kind_row
+    except TypeError:  # i or j is not an integer, like 2.0 (numpy integers pass)
+        pass
+    raise ValueError(
+        f"pivot ({i}, {j}) is outside the pivot set of {kind.value} for n={n}"
+    )
 
 
 def planes(spec: RotationSpec, n: int) -> list[tuple[int, int, float, complex]]:
@@ -180,6 +191,16 @@ def is_structure_preserving(spec: RotationSpec, dim: int) -> float:
     return float(np.linalg.norm(r.conj().T @ s @ r - s))
 
 
+# each ordering lists a family's positions from its (kind, cols) pairs
+_ORDERINGS = {
+    "O1": lambda kinds, n: [(kind, i, j) for kind, cols in kinds
+                            for i in range(1, n + 1) for j in range(*cols(i, n))],
+    "O2": lambda kinds, n: [pos for i in range(1, n + 1) for pos in sorted(
+        [(kind, i, j) for kind, cols in kinds for j in range(*cols(i, n))],
+        key=itemgetter(2), reverse=True)],
+}
+
+
 def pivot_set(
     family: str, n: int, ordering: str = "O1"
 ) -> list[tuple[RotationKind, int, int]]:
@@ -191,43 +212,12 @@ def pivot_set(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if family == SYMPLECTIC:
-        single, direct, other = (RotationKind.SYMP_SINGLE,
-                                 RotationKind.SYMP_DIRECT_SUM,
-                                 RotationKind.SYMP_CONCENTRIC)
-        single_j = lambda i: n + i
-        other_js = lambda i: range(n + i + 1, 2 * n + 1)
-    elif family == PERPLECTIC:
-        single, direct, other = (RotationKind.PERP_SINGLE,
-                                 RotationKind.PERP_DIRECT_SUM,
-                                 RotationKind.PERP_INTERLEAVED)
-        single_j = lambda i: 2 * n - i + 1
-        other_js = lambda i: range(n + 1, 2 * n - i + 1)
-    else:
+    kinds = [(kind, row.cols) for kind, row in _KINDS.items() if row.family == family]
+    if not kinds:
         raise ValueError(f"unknown family: {family!r}")
-
-    out: list[tuple[RotationKind, int, int]] = []
-    if ordering.upper() == "O1":
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                out.append((direct, i, j))
-        for i in range(1, n + 1):
-            out.append((single, i, single_j(i)))
-        for i in range(1, n):
-            for j in other_js(i):
-                out.append((other, i, j))
-    elif ordering.upper() == "O2":
-        for i in range(1, n + 1):
-            row: list[tuple[RotationKind, int, int]] = []
-            for j in other_js(i):
-                row.append((other, i, j))
-            row.append((single, i, single_j(i)))
-            for j in range(i + 1, n + 1):
-                row.append((direct, i, j))
-            # right to left within the row
-            out.extend(sorted(row, key=lambda t: -t[2]))
-    else:
+    if str(ordering).upper() not in _ORDERINGS:
         raise ValueError(f"unknown ordering: {ordering!r}")
+    out = _ORDERINGS[str(ordering).upper()](kinds, n)
     if len(out) != n * n:
         raise AssertionError("pivot set size must be n^2")
     return out

@@ -154,29 +154,26 @@ def gen_structured(tag: StructureTag, n: int, seed: int) -> np.ndarray:
     g21 = _random_complex(rng, n)
     a = np.empty((2 * n, 2 * n), dtype=np.complex128)
     a[:n, :n] = a11
-    if tag is StructureTag.HAMILTONIAN:
-        a[:n, n:] = (g12 + g12.conj().T) / 2
-        a[n:, :n] = (g21 + g21.conj().T) / 2
-        a[n:, n:] = -a11.conj().T
-    elif tag is StructureTag.SKEW_HAMILTONIAN:
-        a[:n, n:] = (g12 - g12.conj().T) / 2
-        a[n:, :n] = (g21 - g21.conj().T) / 2
-        a[n:, n:] = a11.conj().T
-    elif tag is StructureTag.PER_HERMITIAN:
-        # (F B)^H = F B forces real antidiagonal entries of the off blocks
-        a[:n, n:] = (g12 + _flip_conj(g12)) / 2
-        a[n:, :n] = (g21 + _flip_conj(g21)) / 2
-        a[n:, n:] = _flip_conj(a11)
-    else:
-        a[:n, n:] = (g12 - _flip_conj(g12)) / 2
-        a[n:, :n] = (g21 - _flip_conj(g21)) / 2
-        a[n:, n:] = -_flip_conj(a11)
+    a[:n, n:] = (g12 + _mirror(tag, g12)) / 2
+    a[n:, :n] = (g21 + _mirror(tag, g21)) / 2
+    a[n:, n:] = _mirror(tag, a11, diagonal=True)
     return a
 
 
-def _flip_conj(b: np.ndarray) -> np.ndarray:
-    """F B^H F for the flip matrix F of matching size."""
-    return b.conj().T[::-1, ::-1]
+def _mirror(tag: StructureTag, b: np.ndarray, diagonal: bool = False) -> np.ndarray:
+    """The block that (S A)^H = sigma S A pairs with the block B.
+
+    With T(B) = B^H for symplectic tags and F B^H F for perplectic ones
+    (reversed conj(B) for a vector), that is sigma T(B) for A12 and A21, and
+    for A22 in terms of A11 it is -sigma T(A11) (S = J) or sigma T(A11)
+    (S = F).  Signs are applied by negation: a product with -1 or 1 can move
+    the sign of a zero part.
+    """
+    t = b.conj().T
+    if tag.family == PERPLECTIC:
+        t = np.flip(t)
+    negate = (tag.sign < 0) != (diagonal and tag.family == SYMPLECTIC)
+    return -t if negate else t
 
 
 def structured_diagonal(tag: StructureTag, d0: np.ndarray) -> np.ndarray:
@@ -187,15 +184,7 @@ def structured_diagonal(tag: StructureTag, d0: np.ndarray) -> np.ndarray:
     perskew-Hermitian structure, respectively.
     """
     d0 = np.asarray(d0, dtype=np.complex128)
-    if tag is StructureTag.HAMILTONIAN:
-        tail = -d0.conj()
-    elif tag is StructureTag.SKEW_HAMILTONIAN:
-        tail = d0.conj()
-    elif tag is StructureTag.PER_HERMITIAN:
-        tail = d0.conj()[::-1]
-    else:
-        tail = -d0.conj()[::-1]
-    return np.diag(np.concatenate([d0, tail]))
+    return np.diag(np.concatenate([d0, _mirror(tag, d0, diagonal=True)]))
 
 
 def gen_normal_structured(

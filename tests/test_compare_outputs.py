@@ -34,6 +34,11 @@ def test_tree_against_itself_has_no_differences():
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stdout.splitlines()[-1].endswith(
         " 0 differ, 0 failed on A, 0 failed on B")
+    wc = subprocess.run(  # the last line is "<lines> total"
+        ["wc", "-l", *map(str, (ROOT / "src" / "structnorm").rglob("*.py"))],
+        capture_output=True, text=True, check=True)
+    total = wc.stdout.splitlines()[-1].split()[0]
+    assert run.stdout.splitlines()[-2] == f"src/structnorm: {total} -> {total} lines"
 
 
 def test_one_ulp_in_rotate_cols_is_caught(tmp_path):
@@ -62,8 +67,11 @@ def test_summary_counts_the_failed_operations_of_each_tree(monkeypatch, capsys):
                   _record("z", "3", ["new"])]}
     monkeypatch.setattr(tool, "_spawn", lambda tree, seeds: None)
     monkeypatch.setattr(tool, "_collect", lambda tree, proc: runs[tree.name])
+    counts = {"A": 1632, "B": 1605}
+    monkeypatch.setattr(tool, "count_lines", lambda tree: counts[tree.name])
     assert tool.main(["A", "B"]) == 1
     out = capsys.readouterr().out.splitlines()
+    assert out[-2] == "src/structnorm: 1632 -> 1605 lines"
     assert out[-1] == "3 operations, 3 differ, 1 failed on A, 3 failed on B"
     runs["B"] = runs["A"]
     assert tool.main(["A", "B"]) == 0

@@ -26,8 +26,19 @@ def test_config_validation():
     for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             sn.SolverConfig(tol=tol)
-    with pytest.raises(ValueError):
-        sn.SolverConfig(max_sweeps=0)
+    # rejected here, not at the first sweep (TypeError from range(), or
+    # pivot_set's unknown ordering)
+    for max_sweeps in (0, 2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            sn.SolverConfig(max_sweeps=max_sweeps)
+    for ordering in ("O3", "", "O1 ", None, 1):
+        with pytest.raises(ValueError, match="unknown ordering"):
+            sn.SolverConfig(ordering=ordering)
+    for ordering in ("O1", "O2", "o1", "o2"):
+        config = sn.SolverConfig(ordering=ordering, max_sweeps=np.int64(1))
+        assert sn.pivot_set(sn.SYMPLECTIC, 2, config.ordering)
+        assert len(list(sn.iterate(np.zeros((4, 4)), sn.StructureTag.HAMILTONIAN,
+                                   config))) == 1
 
 
 @pytest.mark.parametrize("tag", TAGS)

@@ -225,3 +225,161 @@ def test_trace_weights_match_fill_diagonal_reference(m):
     for new in (structures.diag_norm_sq, structures.offdiag_norm_sq):
         with pytest.raises(ValueError, match="square"):
             new(np.zeros((m, m + 1)))
+
+
+# The pivot loops and the two 4-way generator chains as they were before
+# pivot_set enumerated the kind table and the generators read (family, sign).
+
+def _ref_pivot_set(family, n, ordering="O1"):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if family == sn.SYMPLECTIC:
+        single, direct, other = K.SYMP_SINGLE, K.SYMP_DIRECT_SUM, K.SYMP_CONCENTRIC
+        single_j = lambda i: n + i
+        other_js = lambda i: range(n + i + 1, 2 * n + 1)
+    elif family == sn.PERPLECTIC:
+        single, direct, other = K.PERP_SINGLE, K.PERP_DIRECT_SUM, K.PERP_INTERLEAVED
+        single_j = lambda i: 2 * n - i + 1
+        other_js = lambda i: range(n + 1, 2 * n - i + 1)
+    else:
+        raise ValueError(f"unknown family: {family!r}")
+
+    out = []
+    if ordering.upper() == "O1":
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                out.append((direct, i, j))
+        for i in range(1, n + 1):
+            out.append((single, i, single_j(i)))
+        for i in range(1, n):
+            for j in other_js(i):
+                out.append((other, i, j))
+    elif ordering.upper() == "O2":
+        for i in range(1, n + 1):
+            row = []
+            for j in other_js(i):
+                row.append((other, i, j))
+            row.append((single, i, single_j(i)))
+            for j in range(i + 1, n + 1):
+                row.append((direct, i, j))
+            out.extend(sorted(row, key=lambda t: -t[2]))
+    else:
+        raise ValueError(f"unknown ordering: {ordering!r}")
+    return out
+
+
+def _ref_flip_conj(b):
+    return b.conj().T[::-1, ::-1]
+
+
+def _ref_gen_structured(tag, n, seed):
+    rng = np.random.default_rng(seed)
+    a11 = structures._random_complex(rng, n)
+    g12 = structures._random_complex(rng, n)
+    g21 = structures._random_complex(rng, n)
+    a = np.empty((2 * n, 2 * n), dtype=np.complex128)
+    a[:n, :n] = a11
+    if tag is sn.StructureTag.HAMILTONIAN:
+        a[:n, n:] = (g12 + g12.conj().T) / 2
+        a[n:, :n] = (g21 + g21.conj().T) / 2
+        a[n:, n:] = -a11.conj().T
+    elif tag is sn.StructureTag.SKEW_HAMILTONIAN:
+        a[:n, n:] = (g12 - g12.conj().T) / 2
+        a[n:, :n] = (g21 - g21.conj().T) / 2
+        a[n:, n:] = a11.conj().T
+    elif tag is sn.StructureTag.PER_HERMITIAN:
+        a[:n, n:] = (g12 + _ref_flip_conj(g12)) / 2
+        a[n:, :n] = (g21 + _ref_flip_conj(g21)) / 2
+        a[n:, n:] = _ref_flip_conj(a11)
+    else:
+        a[:n, n:] = (g12 - _ref_flip_conj(g12)) / 2
+        a[n:, :n] = (g21 - _ref_flip_conj(g21)) / 2
+        a[n:, n:] = -_ref_flip_conj(a11)
+    return a
+
+
+def _ref_structured_diagonal(tag, d0):
+    d0 = np.asarray(d0, dtype=np.complex128)
+    if tag is sn.StructureTag.HAMILTONIAN:
+        tail = -d0.conj()
+    elif tag is sn.StructureTag.SKEW_HAMILTONIAN:
+        tail = d0.conj()
+    elif tag is sn.StructureTag.PER_HERMITIAN:
+        tail = d0.conj()[::-1]
+    else:
+        tail = -d0.conj()[::-1]
+    return np.diag(np.concatenate([d0, tail]))
+
+
+def _ref_gen_normal_structured(tag, n, seed):
+    rng = np.random.default_rng(seed)
+    re = rng.choice([-1.0, 1.0], n) * (0.5 + np.abs(rng.standard_normal(n)))
+    im = rng.choice([-1.0, 1.0], n) * (0.5 + np.abs(rng.standard_normal(n)))
+    d = _ref_structured_diagonal(tag, re + 1j * im)
+    positions = _ref_pivot_set(tag.family, n)
+    specs = [rotations.random_spec(*positions[rng.integers(len(positions))], rng)
+             for _ in range(4 * n * n)]
+    u = rotations.apply_right(np.eye(2 * n, dtype=np.complex128),
+                              *(rotations.planes(spec, n) for spec in specs))
+    return u @ d @ u.conj().T, u, d
+
+
+def _same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("family", [sn.SYMPLECTIC, sn.PERPLECTIC])
+@pytest.mark.parametrize("ordering", ["O1", "O2", "o2"])
+def test_pivot_set_matches_pivot_loops(family, ordering):
+    for n in range(1, 13):
+        got = sn.pivot_set(family, n, ordering)
+        assert got == _ref_pivot_set(family, n, ordering)
+        assert all(type(i) is int and type(j) is int for _, i, j in got)
+
+
+def test_pivot_set_raises_as_the_pivot_loops():
+    for args in ((sn.SYMPLECTIC, 0), ("unitary", 2), ("unitary", 2, "O3"),
+                 (sn.PERPLECTIC, 2, "O3"), (sn.PERPLECTIC, 2, "")):
+        _raises_same(lambda: _ref_pivot_set(*args), lambda: sn.pivot_set(*args))
+
+
+@pytest.mark.parametrize("family", [sn.SYMPLECTIC, sn.PERPLECTIC])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pivot_set_lists_exactly_the_accepted_pivots_once(family, n):
+    accepted = []
+    for kind in ALL_KINDS:
+        if kind.family != family:
+            continue
+        for i, j in _box(n):
+            try:
+                rotations.check_pivot(kind, i, j, n)
+            except ValueError:
+                continue
+            accepted.append((kind, i, j))
+    listed = sn.pivot_set(family, n)
+    assert len(listed) == len(set(listed)) == n * n
+    assert set(listed) == set(accepted)
+    assert len(accepted) == n * n
+
+
+@pytest.mark.parametrize("tag", list(sn.StructureTag))
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_generators_match_the_four_way_chains(tag, n):
+    for seed in range(5):
+        assert _same_bits(sn.gen_structured(tag, n, seed),
+                          _ref_gen_structured(tag, n, seed))
+        for got, want in zip(sn.gen_normal_structured(tag, n, seed),
+                             _ref_gen_normal_structured(tag, n, seed)):
+            assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("tag", list(sn.StructureTag))
+def test_structured_diagonal_matches_the_four_way_chain(tag):
+    # every sign of zero in each part, next to nonzero parts
+    parts = [0.0, -0.0, 1.5, -2.25]
+    d0 = np.array([complex(re, im) for re in parts for im in parts])
+    assert any(math.copysign(1.0, z.imag) < 0 and z.imag == 0 for z in d0)
+    for d in (d0, d0[:1], d0[::-1], d0.real, np.array([-0.0]), np.zeros(0)):
+        assert _same_bits(sn.structured_diagonal(tag, d),
+                          _ref_structured_diagonal(tag, d))

@@ -60,6 +60,25 @@ def test_build_rotation_rejects_bad_pivot():
             sn.RotationSpec(sn.RotationKind.PERP_INTERLEAVED, 2, 7, 0.1), 8)
 
 
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_non_integer_pivots_are_rejected(kind):
+    # a float label would lay planes out on rows like 0.5 and 2.5
+    n = 3
+    pivots = [(i, j) for k, i, j in sn.pivot_set(kind.family, n) if k is kind]
+    for i, j in pivots:
+        for bad in ((1.5, j), (2.0, j), (i, 1.5), (i, 2.0),
+                    (float(i), j), (i, float(j)), (np.float64(i), j)):
+            with pytest.raises(ValueError, match="outside the pivot set"):
+                check_pivot(kind, *bad, n)
+            with pytest.raises(ValueError, match="outside the pivot set"):
+                sn.planes(sn.RotationSpec(kind, *bad, 0.3, 0.1), n)
+        # numpy integers are pivot labels
+        assert check_pivot(kind, np.int64(i), np.int32(j), n) is check_pivot(
+            kind, i, j, n)
+    with pytest.raises(ValueError, match="outside the pivot set"):
+        sn.planes(sn.RotationSpec(sn.RotationKind.SYMP_DIRECT_SUM, 1.5, 2, 0.3, 0.1), 2)
+
 @pytest.mark.parametrize("spec", _all_specs(4, 2))
 def test_apply_similarity_matches_dense_product(spec):
     rng = np.random.default_rng(3)

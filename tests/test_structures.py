@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import structnorm as sn
-from structnorm.structures import _flip_conj
+from structnorm.structures import _mirror
 
 TAGS = list(sn.StructureTag)
 
@@ -211,8 +211,15 @@ def test_gen_normal_structured_deterministic():
     np.testing.assert_array_equal(a1, a2)
 
 
-def test_flip_conj_matches_explicit():
+@pytest.mark.parametrize("tag", TAGS)
+def test_mirror_matches_explicit(tag):
+    # sigma T(B) for an off-diagonal block, with T(B) = B^H (symplectic) or
+    # F B^H F (perplectic); -sigma T(B) for the J-paired diagonal block
     rng = np.random.default_rng(2)
     b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    f = sn.make_F(4)
-    np.testing.assert_allclose(_flip_conj(b), f @ b.conj().T @ f, atol=0)
+    f = sn.make_F(4) if tag.family == sn.PERPLECTIC else np.eye(4)
+    t = tag.sign * (f @ b.conj().T @ f)
+    np.testing.assert_allclose(_mirror(tag, b), t, atol=0)
+    if tag.family == sn.SYMPLECTIC:
+        t = -t
+    np.testing.assert_allclose(_mirror(tag, b, diagonal=True), t, atol=0)

@@ -12,7 +12,10 @@ sha256 and printed with the checks it failed.  The last line sums this up as
 ``N operations, D differ, F_A failed on A, F_B failed on B``, where F_A and
 F_B count the operations of each tree that failed at least one check: a
 change that moves output bits on purpose is judged by those two counts, not
-by D.  The exit status is 0 when both trees give the same hashes and the
+by D.  The line before it, ``src/structnorm: A -> B lines``, gives each
+tree's count of lines in ``src/structnorm/**/*.py`` (as ``wc -l`` counts
+them), the size that a change which simplifies should bring down.  The exit
+status is 0 when both trees give the same hashes and the
 same failed checks for every operation, 1 when any differ, and 2 when a tree
 cannot be run.
 """
@@ -37,6 +40,12 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def count_lines(tree: Path) -> int:
+    """Newlines in the tree's ``src/structnorm/**/*.py``, as ``wc -l`` counts."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "structnorm").rglob("*.py"))
 
 
 def run_tree(tree: Path, seeds: list[int]) -> list[dict]:
@@ -119,6 +128,8 @@ def main(argv=None) -> int:
         print(f"operation counts differ: {len(runs[0])} and {len(runs[1])}")
         differ += 1
     failed = [sum(bool(rec["problems"]) for rec in run) for run in runs]
+    lines = [count_lines(tree) for tree in args.trees]
+    print(f"src/structnorm: {lines[0]} -> {lines[1]} lines")
     print(f"{len(runs[0])} operations, {differ} differ, "
           f"{failed[0]} failed on A, {failed[1]} failed on B")
     return 1 if differ else 0
