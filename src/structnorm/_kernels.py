@@ -1,4 +1,4 @@
-"""Plane rotation kernels: LAPACK ``zrot`` for the similarity, numpy for Z.
+"""Plane rotation kernels: LAPACK ``zrot``, with numpy where it cannot serve.
 
 A plane rotation by the 2x2 Givens block
 
@@ -6,24 +6,25 @@ A plane rotation by the 2x2 Givens block
 
 applied as a similarity G^H A G touches two rows and two columns of A.  The
 similarity runs once per applied pivot inside the Jacobi sweep; the column
-pass that accumulates Z runs once per layer of disjoint planes, when the
-sweep ends (also when it ends in an error).
+pass A <- A G that accumulates Z runs once per sweep, with every plane the
+sweep applied, when the sweep ends (also when it ends in an error).
 
 ``plane_similarity`` is two calls of LAPACK ``zrot`` (x <- c*x + s*y,
 y <- c*y - conj(s)*x), on rows p, q with s and on columns p, q with conj(s).
-The routine is ``scipy_zrot_64_`` of the ILP64 OpenBLAS that numpy bundles,
-found through ctypes on the handle of ``numpy.linalg._umath_linalg`` (dlsym
-also searches the libraries it loaded), so scipy is never imported.  Without
-it ``BACKEND`` is ``"numpy"`` and ``plane_similarity`` is
-``numpy_plane_similarity``.  Inputs the raw pointers cannot serve safely (not
-a writable, C-contiguous, square complex128 matrix, or p, q not distinct
-in-range ints) take the numpy kernel, with its results and errors.  Each call
-builds its own arguments and holds the GIL, so threads may solve at once.
-zrot rounds a few entries differently from numpy and OpenBLAS picks its code
-per CPU, so bits are reproducible on one machine, not across CPU families.
-
-Z stays on the numpy column pass, one call per layer of disjoint planes:
-one zrot call per plane or per layer was measured slower.
+``rotate_cols`` is the column call alone, once per plane in order, with the
+matrix pinned and its dimension packed once per call.  The routine is
+``scipy_zrot_64_`` of the ILP64 OpenBLAS that numpy bundles, found through
+ctypes on the handle of ``numpy.linalg._umath_linalg`` (dlsym also searches
+the libraries it loaded), so scipy is never imported.  Without it
+``BACKEND`` is ``"numpy"`` and the kernels are ``numpy_plane_similarity``
+and ``numpy_rotate_cols``.  Inputs the raw pointers cannot serve safely (not
+a writable, C-contiguous, square complex128 matrix, or a plane whose p, q
+are not distinct in-range ints, of any integer type for ``rotate_cols``, or
+whose c is not real) take the numpy kernel, with its results and errors;
+``rotate_cols`` checks every plane before it writes any.  Each call builds
+its own arguments and holds the GIL, so threads may solve at once.  zrot
+rounds a few entries differently from numpy and OpenBLAS picks its code per
+CPU, so bits are reproducible on one machine, not across CPU families.
 
 ``rotations`` reads ``plane_similarity`` and ``rotate_cols`` as module
 attributes at call time; ``numpy_plane_similarity`` reaches its column pass
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import ctypes
 import struct
+from operator import index
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -66,7 +68,32 @@ def _rotate_cols(a, p, q, c, s):
     a[:, q] = rq
 
 
-rotate_cols = _rotate_cols
+def _planes(p, q, c, s):
+    """The planes (p, q, c, s) of a rotate_cols call, in order."""
+    try:
+        return zip(p, q, c, s, strict=True)
+    except TypeError:  # scalars: one plane
+        return ((p, q, c, s),)
+
+
+def numpy_rotate_cols(a, p, q, c, s):
+    """A <- A G_1 ... G_k for the planes (p[k], q[k], c[k], s[k]), or one plane.
+
+    Planes on disjoint columns commute exactly, so each plane is put one
+    layer after the last plane that shares a column with it, and each layer
+    is one column pass: every column meets the same planes in the same
+    order, and the bits are those of one call per plane.
+    """
+    depth = [0] * a.shape[1]  # layers so far that touch each column
+    layers = []
+    for plane in _planes(p, q, c, s):
+        k = max(depth[plane[0]], depth[plane[1]])
+        depth[plane[0]] = depth[plane[1]] = k + 1
+        if k == len(layers):
+            layers.append([])
+        layers[k].append(plane)
+    for layer in layers:
+        _rotate_cols(a, *map(np.array, zip(*layer)))
 
 
 def numpy_plane_similarity(a, p, q, c, s):
@@ -113,5 +140,28 @@ def _zrot_plane_similarity(a, p, q, c, s):
     numpy_plane_similarity(a, p, q, c, s)
 
 
+def _zrot_rotate_cols(a, p, q, c, s):
+    args = []  # per plane: byte offsets of columns p and q, packed c and conj(s)
+    try:  # every plane is checked before the first is applied
+        if a.dtype != _COMPLEX128 or a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise TypeError
+        m = a.shape[0]
+        for pp, qq, cc, ss in _planes(p, q, c, s):
+            pp, qq = index(pp), index(qq)  # TypeError: not an integer, like 2.0
+            if not (0 <= pp < m and 0 <= qq < m and pp != qq):
+                raise ValueError
+            # struct.error: c is not real
+            args.append((16 * pp, 16 * qq, _double(cc),
+                         _complex(ss.real, -ss.imag)))
+        buf = ctypes.c_char.from_buffer(a)  # TypeError: read-only, or not C-contiguous
+    except (TypeError, ValueError, struct.error):
+        numpy_rotate_cols(a, p, q, c, s)
+        return
+    base, dim = ctypes.addressof(buf), _int64(m)  # buf pins a until the loop ends
+    for op, oq, cc, cs in args:
+        _zrot(dim, base + op, dim, base + oq, dim, cc, cs)
+
+
 BACKEND = "numpy" if _zrot is None else "openblas-zrot"
 plane_similarity = numpy_plane_similarity if _zrot is None else _zrot_plane_similarity
+rotate_cols = numpy_rotate_cols if _zrot is None else _zrot_rotate_cols

@@ -140,7 +140,7 @@ def _write_series(path, a, tag, header_comment, ordering="O1") -> None:
     for sweep, m in enumerate(_iterates(a, tag, 20, ordering)):
         lines.append(f"{sweep},{_fmt(diag_norm_sq(m) ** 0.5)},"
                      f"{_fmt(offdiag_norm_sq(m) ** 0.5)},{_fmt(frob_norm(m))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_lines(path, lines)
 
 
 def _skew_hamiltonian_with_real_eigenpair(n, seed, lam=1.5):
@@ -202,7 +202,14 @@ def cmd_experiment(args) -> int:
 
 def _write_abs_grid(path, a) -> None:
     lines = [",".join(_fmt(abs(v)) for v in row) for row in a]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    _write_lines(path, lines)
+
+
+def _write_lines(path, lines) -> None:
+    try:
+        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    except OSError as exc:
+        raise _CliError(2, f"cannot write {path}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:

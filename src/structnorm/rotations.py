@@ -160,26 +160,14 @@ def apply_similarity(a: np.ndarray, rotation: list) -> np.ndarray:
 def apply_right(z: np.ndarray, *rotations: list) -> np.ndarray:
     """In-place update Z <- Z R_1 R_2 ... R_k for plane lists R_i (columns only).
 
-    Planes on disjoint columns commute exactly, so each plane is put one
-    layer after the last plane that shares a column with it, and each layer
-    is one column pass.  Every column then meets the same planes in the same
-    order as when the rotations are applied one at a time, and Z is bitwise
-    the same.
+    Every plane goes to one ``rotate_cols`` call, in order, so Z is bitwise
+    the same as when the rotations are applied one at a time.
     """
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError("matrix must be square")
-    depth = [0] * z.shape[0]  # layers so far that touch each column
-    layers: list[list[tuple[int, int, float, complex]]] = []
-    for rotation in rotations:
-        for plane in rotation:
-            p, q = plane[0], plane[1]
-            k = max(depth[p], depth[q])
-            depth[p] = depth[q] = k + 1
-            if k == len(layers):
-                layers.append([])
-            layers[k].append(plane)
-    for layer in layers:
-        _kernels.rotate_cols(z, *map(np.array, zip(*layer)))
+    planes = [plane for rotation in rotations for plane in rotation]
+    if planes:
+        _kernels.rotate_cols(z, *zip(*planes))
     return z
 
 

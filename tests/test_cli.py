@@ -393,6 +393,17 @@ def test_experiment_n_zero_exits_2(tmp_path, capsys):
     assert "n must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("figure, name", [(1, "fig1_sweep0.csv"),
+                                          (2, "fig2_generic.csv")])
+def test_experiment_unwritable_figure_exits_2(tmp_path, figure, name):
+    (tmp_path / name).mkdir()  # a directory where the CSV must go
+    proc = run_cli("experiment", "--figure", str(figure), "--n", "2",
+                   "--out-dir", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot write {tmp_path / name}: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_experiment_figure_1(tmp_path):
     out = tmp_path / "fig1"
     assert main(["experiment", "--figure", "1", "--n", "6", "--seed", "2",

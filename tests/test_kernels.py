@@ -1,6 +1,6 @@
 """The numpy rotation kernels must compute the one-line Givens updates, bit
-for bit; the zrot similarity must stay within a few ulps of them, take its
-fast path only where its raw pointers are safe, and never import scipy."""
+for bit; the zrot kernels must stay within a few ulps of them, take their
+fast path only where their raw pointers are safe, and never import scipy."""
 import _ctypes
 import math
 import os
@@ -47,7 +47,7 @@ def test_numpy_kernels_bitwise_equal_to_one_line_expressions():
             s = complex(np.cos(alpha), np.sin(alpha)) * float(np.sin(phi))
             for kernel, reference in (
                     (_kernels.rotate_rows, _reference_rows),
-                    (_kernels.rotate_cols, _reference_cols)):
+                    (_kernels.numpy_rotate_cols, _reference_cols)):
                 got, want = a.copy(), a.copy()
                 kernel(got, p, q, c, s)
                 reference(want, p, q, c, s)
@@ -57,6 +57,15 @@ def test_numpy_kernels_bitwise_equal_to_one_line_expressions():
             _reference_rows(want, p, q, c, s)
             _reference_cols(want, p, q, c, s)
             assert got.tobytes() == want.tobytes()
+
+
+def _random_planes(rng, k):
+    """c, s arrays of k random rotations."""
+    phi = rng.uniform(-0.8, 0.8, k)
+    alpha = rng.uniform(-1.6, 1.6, k)
+    s = np.array([complex(np.cos(al), np.sin(al)) * np.sin(ph)
+                  for ph, al in zip(phi, alpha)])
+    return np.cos(phi), s
 
 
 @settings(max_examples=100, deadline=None)
@@ -70,11 +79,7 @@ def test_rotate_cols_on_disjoint_planes_bitwise_equals_one_plane_at_a_time(
     rng = np.random.default_rng(seed)
     cols = rng.permutation(dim)
     p, q = cols[:planes], cols[planes:2 * planes]
-    phi = rng.uniform(-0.8, 0.8, planes)
-    alpha = rng.uniform(-1.6, 1.6, planes)
-    c = np.cos(phi)
-    s = np.array([complex(np.cos(al), np.sin(al)) * np.sin(ph)
-                  for ph, al in zip(phi, alpha)])
+    c, s = _random_planes(rng, planes)
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a *= 2.0 ** rng.integers(-500, 500)
     want = a.copy()
@@ -83,6 +88,32 @@ def test_rotate_cols_on_disjoint_planes_bitwise_equals_one_plane_at_a_time(
                              complex(s[k]))
     got = a.copy()
     _kernels.rotate_cols(got, p, q, c, s)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["rotate_cols", "numpy_rotate_cols"])
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(min_value=2, max_value=12),
+       seed=st.integers(min_value=0, max_value=10_000), data=st.data())
+def test_rotate_cols_on_overlapping_planes_bitwise_equals_one_call_per_plane(
+        kernel, dim, seed, data):
+    # planes that share columns, or repeat, apply in the order given
+    pairs = data.draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=dim - 1),
+                 min_size=2, max_size=2, unique=True), max_size=60))
+    p = [pq[0] for pq in pairs]
+    q = [pq[1] for pq in pairs]
+    rng = np.random.default_rng(seed)
+    c, s = _random_planes(rng, len(pairs))
+    c, s = list(map(float, c)), list(map(complex, s))
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a *= 2.0 ** rng.integers(-500, 500)
+    rotate = getattr(_kernels, kernel)
+    want = a.copy()
+    for plane in zip(p, q, c, s):
+        rotate(want, *plane)
+    got = a.copy()
+    rotate(got, p, q, c, s)
     assert got.tobytes() == want.tobytes()
 
 
@@ -107,6 +138,29 @@ def test_zrot_similarity_is_within_a_few_ulps_of_the_one_line_expressions(
     _reference_rows(want, p, q, c, s)
     _reference_cols(want, p, q, c, s)
     bound = 4 * np.finfo(float).eps * np.abs(a).max() * (abs(c) + abs(s)) ** 2
+    assert np.abs(got - want).max() <= bound
+
+
+@needs_zrot
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(min_value=2, max_value=96),
+       seed=st.integers(min_value=0, max_value=10_000),
+       k=st.integers(min_value=-500, max_value=500),
+       phi=st.floats(min_value=-math.pi / 4, max_value=math.pi / 4),
+       alpha=st.floats(min_value=-math.pi, max_value=math.pi), data=st.data())
+def test_zrot_rotate_cols_is_within_a_few_ulps_of_the_one_line_expression(
+        dim, seed, k, phi, alpha, data):
+    p, q = data.draw(st.lists(st.integers(min_value=0, max_value=dim - 1),
+                              min_size=2, max_size=2, unique=True))
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a *= 2.0 ** k
+    c = math.cos(phi)
+    s = complex(math.cos(alpha), math.sin(alpha)) * math.sin(phi)
+    got, want = a.copy(), a.copy()
+    _kernels.rotate_cols(got, p, q, c, s)
+    _reference_cols(want, p, q, c, s)
+    bound = 4 * np.finfo(float).eps * np.abs(a).max() * (abs(c) + abs(s))
     assert np.abs(got - want).max() <= bound
 
 
@@ -138,12 +192,14 @@ def _routed_cases(rng):
         ("transposed view", plain(transposed)),
         ("read-only", plain(read_only)),
         ("complex64", plain(lambda: base.astype(np.complex64))),
+        ("float64", plain(lambda: base.real.copy())),
         ("byte-swapped", plain(lambda: base.astype(">c16"))),
         ("not square", plain(lambda: np.hstack([base, base[:, :1]]))),
         ("negative index", plain(base.copy, -1, 2)),
         ("index out of range", plain(base.copy, 1, m)),
         ("negative out of range", plain(base.copy, -m - 1, 2)),
         ("p == q", plain(base.copy, 3, 3)),
+        ("float index", plain(base.copy, 2.0, 4)),
         ("numpy integer indices", plain(base.copy, np.int64(1), np.int64(4))),
         ("complex c", plain(base.copy, 1, 4, complex(c, 0.1))),
     ]
@@ -165,12 +221,33 @@ def test_unsafe_inputs_get_the_numpy_kernel_bits_or_its_exception(name, make):
             == _outcome(_kernels.numpy_plane_similarity, make)), name
 
 
+def _as_third_plane(make):
+    # two safe planes first: a kernel that wrote before checking every
+    # plane would show them
+    def planes():
+        a, p, q, c, s = make()
+        return a, (0, 2, p), (5, 3, q), (0.6, 0.8, c), (0.8j, -0.6, s)
+    return planes
+
+
+# numpy integers are integers to rotate_cols; only the similarity routes them
+@pytest.mark.parametrize("name, make", [
+    (name, make) for name, make in _routed_cases(np.random.default_rng(7))
+    if name != "numpy integer indices"])
+def test_unsafe_rotate_cols_inputs_get_the_numpy_kernel_bits_or_its_exception(
+        name, make):
+    for form in (make, _as_third_plane(make)):
+        assert (_outcome(_kernels.rotate_cols, form)
+                == _outcome(_kernels.numpy_rotate_cols, form)), name
+
+
 @needs_zrot
 def test_the_solver_always_takes_the_zrot_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("the sweep fell back to the numpy kernel")
 
     monkeypatch.setattr(_kernels, "numpy_plane_similarity", refuse)
+    monkeypatch.setattr(_kernels, "numpy_rotate_cols", refuse)
     for tag in sn.StructureTag:
         for a in (sn.gen_structured(tag, 3, 1),
                   sn.gen_normal_structured(tag, 3, 1)[0]):
@@ -194,6 +271,7 @@ def test_backend_is_zrot_wherever_numpy_bundles_ilp64_openblas():
         pytest.skip("numpy here does not bundle scipy-openblas with 64-bit ints")
     assert _kernels.BACKEND == sn.BACKEND == "openblas-zrot"
     assert _kernels.plane_similarity is _kernels._zrot_plane_similarity
+    assert _kernels.rotate_cols is _kernels._zrot_rotate_cols
 
 
 def _solve_all(inputs):
@@ -252,6 +330,7 @@ def test_zrot_and_numpy_solves_agree_in_distance(monkeypatch):
     fast = _solve_all(inputs)
     monkeypatch.setattr(_kernels, "plane_similarity",
                         _kernels.numpy_plane_similarity)
+    monkeypatch.setattr(_kernels, "rotate_cols", _kernels.numpy_rotate_cols)
     slow = _solve_all(inputs)
     for (_, a), f, s in zip(inputs, fast, slow, strict=True):
         assert abs(f.distance - s.distance) <= 1e-12 * np.linalg.norm(a)
