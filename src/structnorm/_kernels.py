@@ -4,32 +4,32 @@ A plane rotation by the 2x2 Givens block
 
     G = [[c, -s], [conj(s), c]],   c = cos(phi),  s = exp(i*alpha)*sin(phi),
 
-applied as a similarity G^H A G touches two rows and two columns of A.  The
-similarity runs once per applied pivot inside the Jacobi sweep; the column
-pass A <- A G that accumulates Z runs once per sweep, with every plane the
-sweep applied, when the sweep ends (also when it ends in an error).
+applied as a similarity G^H A G touches two rows and two columns of A.  Both
+kernels take a plane list, (p, q, c, s) applied in order.  The sweep calls
+``plane_similarity(a, planes)`` once per applied pivot, and
+``rotate_cols(a, planes)``, the column pass A <- A G_1 ... G_k that
+accumulates Z, once as each sweep ends (also when it ends in an error).
 
-``plane_similarity`` is two calls of LAPACK ``zrot`` (x <- c*x + s*y,
-y <- c*y - conj(s)*x), on rows p, q with s and on columns p, q with conj(s).
-``rotate_cols`` is the column call alone, once per plane in order, with the
-matrix pinned and its dimension packed once per call.  The routine is
+Per plane, the similarity is two calls of LAPACK ``zrot`` (x <- c*x + s*y,
+y <- c*y - conj(s)*x), on rows p, q with s and then on columns p, q with
+conj(s); ``rotate_cols`` is the column call alone.  Both go through
+``_zrot_planes``, which checks the matrix and every plane before it writes,
+then pins the matrix once for all the calls.  The routine is
 ``scipy_zrot_64_`` of the ILP64 OpenBLAS that numpy bundles, found through
 ctypes on the handle of ``numpy.linalg._umath_linalg`` (dlsym also searches
 the libraries it loaded), so scipy is never imported.  Without it
 ``BACKEND`` is ``"numpy"`` and the kernels are ``numpy_plane_similarity``
-and ``numpy_rotate_cols``.  Inputs the raw pointers cannot serve safely (not
+and ``numpy_rotate_cols``.  A list the raw pointers cannot serve safely (not
 a writable, C-contiguous, square complex128 matrix, or a plane whose p, q
-are not distinct in-range ints, of any integer type for ``rotate_cols``, or
-whose c is not real) take the numpy kernel, with its results and errors;
-``rotate_cols`` checks every plane before it writes any.  Each call builds
-its own arguments and holds the GIL, so threads may solve at once.  zrot
-rounds a few entries differently from numpy and OpenBLAS picks its code per
-CPU, so bits are reproducible on one machine, not across CPU families.
+are not distinct in-range integers or whose c is not real) takes the numpy
+kernel whole, with its results and errors.  Each call builds its own
+arguments and holds the GIL, so threads may solve at once.  zrot rounds a
+few entries differently from numpy and OpenBLAS picks its code per CPU, so
+bits are reproducible on one machine, not across CPU families.
 
 ``rotations`` reads ``plane_similarity`` and ``rotate_cols`` as module
-attributes at call time; ``numpy_plane_similarity`` reaches its column pass
-through ``_rotate_cols``, so the attribute ``rotate_cols`` is only called
-for Z.
+attributes at call time; neither similarity kernel calls the attribute
+``rotate_cols``, so it is only called for Z.
 """
 from __future__ import annotations
 
@@ -68,16 +68,8 @@ def _rotate_cols(a, p, q, c, s):
     a[:, q] = rq
 
 
-def _planes(p, q, c, s):
-    """The planes (p, q, c, s) of a rotate_cols call, in order."""
-    try:
-        return zip(p, q, c, s, strict=True)
-    except TypeError:  # scalars: one plane
-        return ((p, q, c, s),)
-
-
-def numpy_rotate_cols(a, p, q, c, s):
-    """A <- A G_1 ... G_k for the planes (p[k], q[k], c[k], s[k]), or one plane.
+def numpy_rotate_cols(a, planes):
+    """A <- A G_1 ... G_k for the planes (p, q, c, s) in order.
 
     Planes on disjoint columns commute exactly, so each plane is put one
     layer after the last plane that shares a column with it, and each layer
@@ -86,7 +78,7 @@ def numpy_rotate_cols(a, p, q, c, s):
     """
     depth = [0] * a.shape[1]  # layers so far that touch each column
     layers = []
-    for plane in _planes(p, q, c, s):
+    for plane in planes:
         k = max(depth[plane[0]], depth[plane[1]])
         depth[plane[0]] = depth[plane[1]] = k + 1
         if k == len(layers):
@@ -96,9 +88,11 @@ def numpy_rotate_cols(a, p, q, c, s):
         _rotate_cols(a, *map(np.array, zip(*layer)))
 
 
-def numpy_plane_similarity(a, p, q, c, s):
-    rotate_rows(a, p, q, c, s)
-    _rotate_cols(a, p, q, c, s)
+def numpy_plane_similarity(a, planes):
+    """A <- G_k^H ... G_1^H A G_1 ... G_k, rows then columns plane by plane."""
+    for p, q, c, s in planes:
+        rotate_rows(a, p, q, c, s)
+        _rotate_cols(a, p, q, c, s)
 
 
 def _lookup_zrot(path):
@@ -121,45 +115,41 @@ _complex = struct.Struct("=2d").pack
 _ONE = _int64(1)
 
 
-def _zrot_plane_similarity(a, p, q, c, s):
-    if a.dtype == _COMPLEX128 and a.ndim == 2 and type(p) is type(q) is int:
-        m = a.shape[0]
-        if a.shape[1] == m and 0 <= p < m and 0 <= q < m and p != q:
-            try:  # TypeError: read-only, or not C-contiguous
-                buf = ctypes.c_char.from_buffer(a)  # pins a until zrot returns
-                cc, re, im = _double(c), s.real, s.imag
-            except (TypeError, struct.error):  # struct.error: c is not real
-                pass
-            else:
-                base, dim, row = ctypes.addressof(buf), _int64(m), 16 * m
-                _zrot(dim, base + row * p, _ONE, base + row * q, _ONE, cc,
-                      _complex(re, im))
-                _zrot(dim, base + 16 * p, dim, base + 16 * q, dim, cc,
-                      _complex(re, -im))
-                return
-    numpy_plane_similarity(a, p, q, c, s)
-
-
-def _zrot_rotate_cols(a, p, q, c, s):
-    args = []  # per plane: byte offsets of columns p and q, packed c and conj(s)
+def _zrot_planes(a, planes, rows):
+    """Apply the planes by zrot, the row call (if rows) then the column call
+    of each in order; False, having written nothing, where the raw pointers
+    cannot serve every plane."""
+    args = []  # per plane: p, q, and packed c, s (if rows) and conj(s)
     try:  # every plane is checked before the first is applied
         if a.dtype != _COMPLEX128 or a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise TypeError
+            return False
         m = a.shape[0]
-        for pp, qq, cc, ss in _planes(p, q, c, s):
-            pp, qq = index(pp), index(qq)  # TypeError: not an integer, like 2.0
-            if not (0 <= pp < m and 0 <= qq < m and pp != qq):
-                raise ValueError
-            # struct.error: c is not real
-            args.append((16 * pp, 16 * qq, _double(cc),
-                         _complex(ss.real, -ss.imag)))
+        for p, q, c, s in planes:  # ValueError: not four items
+            p, q = index(p), index(q)  # TypeError: not an integer, like 2.0
+            if not (0 <= p < m and 0 <= q < m and p != q):
+                return False
+            re, im = s.real, s.imag
+            args.append((p, q, _double(c), _complex(re, im) if rows else None,
+                         _complex(re, -im)))  # struct.error: c is not real
         buf = ctypes.c_char.from_buffer(a)  # TypeError: read-only, or not C-contiguous
     except (TypeError, ValueError, struct.error):
-        numpy_rotate_cols(a, p, q, c, s)
-        return
-    base, dim = ctypes.addressof(buf), _int64(m)  # buf pins a until the loop ends
-    for op, oq, cc, cs in args:
-        _zrot(dim, base + op, dim, base + oq, dim, cc, cs)
+        return False
+    base, dim, row = ctypes.addressof(buf), _int64(m), 16 * m  # buf pins a
+    for p, q, c, s, cs in args:
+        if rows:
+            _zrot(dim, base + row * p, _ONE, base + row * q, _ONE, c, s)
+        _zrot(dim, base + 16 * p, dim, base + 16 * q, dim, c, cs)
+    return True
+
+
+def _zrot_plane_similarity(a, planes):
+    if not _zrot_planes(a, planes, rows=True):
+        numpy_plane_similarity(a, planes)
+
+
+def _zrot_rotate_cols(a, planes):
+    if not _zrot_planes(a, planes, rows=False):
+        numpy_rotate_cols(a, planes)
 
 
 BACKEND = "numpy" if _zrot is None else "openblas-zrot"

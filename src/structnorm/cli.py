@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import jacobi
 from .matrixio import MatrixFileError, read_matrix, write_matrix
-from .structures import (StructureTag, check_structure, diag_norm_sq,
+from .structures import (StructureTag, _ldexp, check_structure, diag_norm_sq,
                          frob_norm, gen_normal_structured, gen_structured,
                          offdiag_norm_sq)
 
@@ -118,9 +119,22 @@ def cmd_normality(args) -> int:
     x = _read(args.infile)
     if x.shape[0] != x.shape[1]:
         raise _CliError(2, "matrix must be square")
-    comm = x @ x.conj().T - x.conj().T @ x
-    print(_fmt(float(np.linalg.norm(comm))))
+    print(_fmt(_commutator_norm(x)))
     return 0
+
+
+def _commutator_norm(x: np.ndarray) -> float:
+    """||X X^H - X^H X||_F.  The products can overflow where X does not; the
+    residual is then recomputed on X * 2**-e and scaled back by 2**(2e)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # rescued below
+        resid = frob_norm(x @ x.conj().T - x.conj().T @ x)
+    if not math.isfinite(resid):  # X is finite: read_matrix admits nothing else
+        _, e = math.frexp(float(np.abs(x).max()))
+        try:
+            resid = math.ldexp(_commutator_norm(_ldexp(x, -e)), 2 * e)
+        except OverflowError:
+            raise _CliError(2, "the commutator residual overflows") from None
+    return resid
 
 
 def _iterates(a, tag, sweeps, ordering="O1"):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rotations import RotationSpec, check_pivot, planes
-from .structures import SYMPLECTIC, make_F, make_J
+from .structures import SYMPLECTIC, _ldexp, frob_norm, make_F, make_J
 
 
 @dataclass(frozen=True)
@@ -53,25 +53,6 @@ def project_tangent(y: np.ndarray, family: str) -> np.ndarray:
     return (w - w.conj().T[::-1, ::-1]) / 2
 
 
-def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
-    """X * 2**e, part by part: 2**e alone may overflow."""
-    x = np.ascontiguousarray(x, dtype=np.complex128)
-    return np.ldexp(x.view(np.float64), e).view(np.complex128)
-
-
-def _norm(x: np.ndarray) -> float:
-    """||X||_F, recomputed on X scaled by a power of two when the sum of
-    squares overflows or leaves the normal range (np.linalg.norm does not
-    scale); other values keep the bits of np.linalg.norm.
-    """
-    with np.errstate(over="ignore"):  # rescued below
-        norm = float(np.linalg.norm(x))
-    if not 2.0 ** -480 <= norm < math.inf and np.isfinite(x).all():
-        _, e = math.frexp(float(np.abs(x).max()))
-        norm = float(np.ldexp(np.linalg.norm(_ldexp(x, -e)), e))
-    return norm
-
-
 def _gradient(m: np.ndarray, family: str):
     """(Y, X, ||X||_F) at the similarity iterate M = Z^H A Z.
 
@@ -86,7 +67,7 @@ def _gradient(m: np.ndarray, family: str):
     if not np.isfinite(x).all() and np.isfinite(m).all():
         _, e = math.frexp(float(np.abs(m).max()))
         x = _ldexp(_gradient(_ldexp(m, -e), family)[1], 2 * e)
-    return y, x, _norm(x)
+    return y, x, frob_norm(x)
 
 
 def tangent_gradient(m: np.ndarray, family: str) -> tuple[np.ndarray, float]:

@@ -27,7 +27,7 @@ from .gradient import pivot_gain, should_skip, tangent_gradient
 from .rotations import (_ORDERINGS, RotationKind, RotationSpec, apply_right,
                         apply_similarity, pivot_set, planes)
 from .structures import (StructureTag, check_structure, diag_norm_sq,
-                         offdiag_norm_sq)
+                         frob_norm, offdiag_norm_sq)
 
 PHI_SKIP = 1e-15  # rotations this small are recorded but not applied
 
@@ -51,7 +51,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be positive and finite")
-        if not isinstance(self.max_sweeps, Integral) or self.max_sweeps < 1:
+        if (isinstance(self.max_sweeps, bool)  # True is an Integral
+                or not isinstance(self.max_sweeps, Integral) or self.max_sweeps < 1):
             raise ValueError("max_sweeps must be an integer >= 1")
         if str(self.ordering).upper() not in _ORDERINGS:
             raise ValueError(f"unknown ordering: {self.ordering!r}")
@@ -105,7 +106,7 @@ def distance_to(a: np.ndarray, x: np.ndarray) -> float:
     x = np.asarray(x)
     if a.shape != x.shape:
         raise ValueError("shape mismatch")
-    return float(np.linalg.norm(a - x))
+    return frob_norm(a - x)
 
 
 def _total_norm_sq(a: np.ndarray) -> float:
@@ -190,13 +191,16 @@ def iterate(a: np.ndarray, tag: StructureTag,
             config: SolverConfig) -> Iterator[JacobiState]:
     """Sweep a copy of A from Z = I, yielding the state after each sweep.
 
-    Runs at most ``config.max_sweeps`` sweeps; leave the loop to stop early.
-    Every item is the same state, updated in place by the next sweep.
+    A is checked at the call; at most ``config.max_sweeps`` sweeps run (leave
+    the loop to stop early), each updating the one yielded state in place.
     """
-    state = JacobiState(a=np.array(a, dtype=np.complex128, order="C"),
-                        z=np.eye(len(a), dtype=np.complex128))
-    for _ in range(config.max_sweeps):
-        yield sweep_once(state, tag, config)
+    a = np.array(a, dtype=np.complex128, order="C")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    if a.shape[0] % 2 != 0:
+        raise ValueError("even dimension required")
+    state = JacobiState(a=a, z=np.eye(len(a), dtype=np.complex128))
+    return (sweep_once(state, tag, config) for _ in range(config.max_sweeps))
 
 
 def solve(a: np.ndarray, tag: StructureTag,
@@ -205,10 +209,7 @@ def solve(a: np.ndarray, tag: StructureTag,
     if config is None:
         config = SolverConfig()
     a0 = np.asarray(a, dtype=np.complex128)
-    if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
-        raise ValueError("matrix must be square")
-    if a0.shape[0] % 2 != 0:
-        raise ValueError("even dimension required")
+    states = iterate(a0, tag, config)  # checks the shape; sweeps when looped
     if not np.isfinite(a0).all():
         raise NonFiniteError("input matrix has non-finite entries")
     resid = check_structure(a0, tag)
@@ -223,7 +224,7 @@ def solve(a: np.ndarray, tag: StructureTag,
 
     stop = config.tol * norm_sq
     converged = False
-    for state in iterate(a0, tag, config):
+    for state in states:
         if state.sweep_gain <= stop:
             converged = True
             break

@@ -23,7 +23,7 @@ position: a one-shot solve would not reuse such a cache.
 A rotation is applied as its plane list ``planes(spec, n)``: one 0-based
 (p, q, c, s) per embedded block.  :func:`planes` alone checks the pivot,
 evaluates the trig and lays out the planes; :func:`apply_similarity` and
-:func:`apply_right` take its lists as they are.
+:func:`apply_right` hand its lists to the kernels as they are.
 """
 from __future__ import annotations
 
@@ -152,8 +152,7 @@ def apply_similarity(a: np.ndarray, rotation: list) -> np.ndarray:
     """In-place update A <- R^H A R for the plane list R, on its rows/columns."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    for p, q, c, s in rotation:
-        _kernels.plane_similarity(a, p, q, c, s)
+    _kernels.plane_similarity(a, rotation)
     return a
 
 
@@ -167,7 +166,7 @@ def apply_right(z: np.ndarray, *rotations: list) -> np.ndarray:
         raise ValueError("matrix must be square")
     planes = [plane for rotation in rotations for plane in rotation]
     if planes:
-        _kernels.rotate_cols(z, *zip(*planes))
+        _kernels.rotate_cols(z, planes)
     return z
 
 

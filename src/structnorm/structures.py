@@ -110,8 +110,22 @@ def check_structure(a: np.ndarray, tag: StructureTag) -> float:
     return float(resid / norm)
 
 
+def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
+    """X * 2**e, part by part: 2**e alone may overflow."""
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    return np.ldexp(x.view(np.float64), e).view(np.complex128)
+
+
 def frob_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """||A||_F, recomputed on A scaled by a power of two when the sum of
+    squares overflows or leaves the normal range (np.linalg.norm does not
+    scale); other values keep the bits of np.linalg.norm."""
+    with np.errstate(over="ignore"):  # rescued below, or the norm is inf
+        norm = float(np.linalg.norm(a))
+        if not 2.0 ** -480 <= norm < math.inf and np.isfinite(a).all() and np.any(a):
+            _, e = math.frexp(float(np.abs(a).max()))
+            norm = float(np.ldexp(np.linalg.norm(_ldexp(a, -e)), e))
+    return norm
 
 
 def diag_norm_sq(a: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -221,6 +222,43 @@ def test_normality_on_unitary(tmp_path):
     proc = run_cli("normality", "--in", str(path))
     assert proc.returncode == 0
     assert float(proc.stdout.strip()) == 0.0
+
+
+@pytest.mark.parametrize("k", [600, -600])
+def test_distance_is_exact_where_the_sum_of_squares_leaves_the_range(
+        tmp_path, capsys, k):
+    # the distance is representable; its square is not
+    a = sn.gen_structured(sn.StructureTag.HAMILTONIAN, 3, 0)
+    pa, pz = tmp_path / "a.mat", tmp_path / "z.mat"
+    sn.write_matrix(pa, np.ldexp(a.view(float), k).view(complex))
+    sn.write_matrix(pz, np.zeros_like(a))
+    assert main(["distance", "--a", str(pa), "--b", str(pz)]) == 0
+    assert float(capsys.readouterr().out) == math.ldexp(np.linalg.norm(a), k)
+
+
+def test_normality_of_a_scaled_solve_is_the_scaled_residual(tmp_path, capsys):
+    # X X^H overflows on the solver's own output for an input scaled by 2^500
+    a = sn.gen_structured(sn.StructureTag.HAMILTONIAN, 3, 0)
+    resid = []
+    for k in (0, 500):
+        pa, px = tmp_path / f"a{k}.mat", tmp_path / f"x{k}.mat"
+        sn.write_matrix(pa, np.ldexp(a.view(float), k).view(complex))
+        assert main(["solve", "--in", str(pa), "--structure", "hamiltonian",
+                     "--out-normal", str(px),
+                     "--out-z", str(tmp_path / "z.mat")]) == 0
+        capsys.readouterr()
+        assert main(["normality", "--in", str(px)]) == 0
+        resid.append(float(capsys.readouterr().out))
+    assert 0.0 < resid[0] < 1e-12
+    assert resid[1] == math.ldexp(resid[0], 1000)
+
+
+def test_normality_beyond_the_largest_double_exits_2(tmp_path, capsys):
+    path = tmp_path / "x.mat"
+    sn.write_matrix(path, np.array([[0, 2.0 ** 1000], [0, 0]], dtype=complex))
+    assert main(["normality", "--in", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "commutator residual overflows" in out.err
 
 
 def _parse_summary(stdout):

@@ -18,8 +18,9 @@ import numpy as np
 _exact_rotate_cols = rotate_cols
 
 
-def rotate_cols(a, p, q, c, s):
-    _exact_rotate_cols(a, p, q, np.nextafter(c, 2.0), s)
+def rotate_cols(a, planes):
+    _exact_rotate_cols(a, [(p, q, np.nextafter(c, 2.0), s)
+                           for p, q, c, s in planes])
 '''
 
 

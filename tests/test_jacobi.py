@@ -27,8 +27,8 @@ def test_config_validation():
         with pytest.raises(ValueError):
             sn.SolverConfig(tol=tol)
     # rejected here, not at the first sweep (TypeError from range(), or
-    # pivot_set's unknown ordering)
-    for max_sweeps in (0, 2.5, 3.0, "3"):
+    # pivot_set's unknown ordering); a bool is an Integral, but no count
+    for max_sweeps in (0, 2.5, 3.0, "3", True, False):
         with pytest.raises(ValueError, match="max_sweeps"):
             sn.SolverConfig(max_sweeps=max_sweeps)
     for ordering in ("O3", "", "O1 ", None, 1):
@@ -39,6 +39,16 @@ def test_config_validation():
         assert sn.pivot_set(sn.SYMPLECTIC, 2, config.ordering)
         assert len(list(sn.iterate(np.zeros((4, 4)), sn.StructureTag.HAMILTONIAN,
                                    config))) == 1
+
+
+def test_iterate_rejects_what_solve_rejects_when_called():
+    # an odd dimension would sweep only the leading even block
+    config = sn.SolverConfig()
+    tag = sn.StructureTag.HAMILTONIAN
+    with pytest.raises(ValueError, match="even dimension required"):
+        sn.iterate(np.ones((3, 3)), tag, config)
+    with pytest.raises(ValueError, match="matrix must be square"):
+        sn.iterate(np.ones((2, 4)), tag, config)
 
 
 @pytest.mark.parametrize("tag", TAGS)

@@ -45,15 +45,16 @@ def test_numpy_kernels_bitwise_equal_to_one_line_expressions():
             phi, alpha = rng.uniform(-0.8, 0.8), rng.uniform(-1.6, 1.6)
             c = float(np.cos(phi))
             s = complex(np.cos(alpha), np.sin(alpha)) * float(np.sin(phi))
-            for kernel, reference in (
-                    (_kernels.rotate_rows, _reference_rows),
-                    (_kernels.numpy_rotate_cols, _reference_cols)):
-                got, want = a.copy(), a.copy()
-                kernel(got, p, q, c, s)
-                reference(want, p, q, c, s)
-                assert got.tobytes() == want.tobytes()
             got, want = a.copy(), a.copy()
-            _kernels.numpy_plane_similarity(got, p, q, c, s)
+            _kernels.rotate_rows(got, p, q, c, s)
+            _reference_rows(want, p, q, c, s)
+            assert got.tobytes() == want.tobytes()
+            got, want = a.copy(), a.copy()
+            _kernels.numpy_rotate_cols(got, [(p, q, c, s)])
+            _reference_cols(want, p, q, c, s)
+            assert got.tobytes() == want.tobytes()
+            got, want = a.copy(), a.copy()
+            _kernels.numpy_plane_similarity(got, [(p, q, c, s)])
             _reference_rows(want, p, q, c, s)
             _reference_cols(want, p, q, c, s)
             assert got.tobytes() == want.tobytes()
@@ -73,8 +74,9 @@ def _random_planes(rng, k):
        seed=st.integers(min_value=0, max_value=10_000), data=st.data())
 def test_rotate_cols_on_disjoint_planes_bitwise_equals_one_plane_at_a_time(
         dim, seed, data):
-    # the array form rotates planes on pairwise disjoint columns at once;
-    # it must give the bits of one scalar call per plane
+    # the numpy kernel rotates planes on pairwise disjoint columns at once;
+    # a list of them, with numpy scalars, must give the bits of one call per
+    # plane with Python scalars
     planes = data.draw(st.integers(min_value=1, max_value=dim // 2))
     rng = np.random.default_rng(seed)
     cols = rng.permutation(dim)
@@ -84,36 +86,38 @@ def test_rotate_cols_on_disjoint_planes_bitwise_equals_one_plane_at_a_time(
     a *= 2.0 ** rng.integers(-500, 500)
     want = a.copy()
     for k in range(planes):
-        _kernels.rotate_cols(want, int(p[k]), int(q[k]), float(c[k]),
-                             complex(s[k]))
+        _kernels.rotate_cols(want, [(int(p[k]), int(q[k]), float(c[k]),
+                                     complex(s[k]))])
     got = a.copy()
-    _kernels.rotate_cols(got, p, q, c, s)
+    _kernels.rotate_cols(got, list(zip(p, q, c, s)))
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("kernel", ["rotate_cols", "numpy_rotate_cols"])
+_KERNELS = ["plane_similarity", "rotate_cols", "numpy_plane_similarity",
+            "numpy_rotate_cols"]
+
+
+@pytest.mark.parametrize("kernel", _KERNELS)
 @settings(max_examples=100, deadline=None)
 @given(dim=st.integers(min_value=2, max_value=12),
        seed=st.integers(min_value=0, max_value=10_000), data=st.data())
-def test_rotate_cols_on_overlapping_planes_bitwise_equals_one_call_per_plane(
-        kernel, dim, seed, data):
-    # planes that share columns, or repeat, apply in the order given
+def test_plane_list_bitwise_equals_one_call_per_plane(kernel, dim, seed, data):
+    # planes that share rows and columns, or repeat, apply in the order given
     pairs = data.draw(st.lists(
         st.lists(st.integers(min_value=0, max_value=dim - 1),
                  min_size=2, max_size=2, unique=True), max_size=60))
-    p = [pq[0] for pq in pairs]
-    q = [pq[1] for pq in pairs]
     rng = np.random.default_rng(seed)
     c, s = _random_planes(rng, len(pairs))
-    c, s = list(map(float, c)), list(map(complex, s))
+    planes = [(p, q, float(cc), complex(ss))
+              for (p, q), cc, ss in zip(pairs, c, s)]
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     a *= 2.0 ** rng.integers(-500, 500)
     rotate = getattr(_kernels, kernel)
     want = a.copy()
-    for plane in zip(p, q, c, s):
-        rotate(want, *plane)
+    for plane in planes:
+        rotate(want, [plane])
     got = a.copy()
-    rotate(got, p, q, c, s)
+    rotate(got, planes)
     assert got.tobytes() == want.tobytes()
 
 
@@ -134,7 +138,7 @@ def test_zrot_similarity_is_within_a_few_ulps_of_the_one_line_expressions(
     c = math.cos(phi)
     s = complex(math.cos(alpha), math.sin(alpha)) * math.sin(phi)
     got, want = a.copy(), a.copy()
-    _kernels.plane_similarity(got, p, q, c, s)
+    _kernels.plane_similarity(got, [(p, q, c, s)])
     _reference_rows(want, p, q, c, s)
     _reference_cols(want, p, q, c, s)
     bound = 4 * np.finfo(float).eps * np.abs(a).max() * (abs(c) + abs(s)) ** 2
@@ -158,20 +162,21 @@ def test_zrot_rotate_cols_is_within_a_few_ulps_of_the_one_line_expression(
     c = math.cos(phi)
     s = complex(math.cos(alpha), math.sin(alpha)) * math.sin(phi)
     got, want = a.copy(), a.copy()
-    _kernels.rotate_cols(got, p, q, c, s)
+    _kernels.rotate_cols(got, [(p, q, c, s)])
     _reference_cols(want, p, q, c, s)
     bound = 4 * np.finfo(float).eps * np.abs(a).max() * (abs(c) + abs(s))
     assert np.abs(got - want).max() <= bound
 
 
 def _routed_cases(rng):
-    """(name, make) pairs; make() -> fresh (a, p, q, c, s) for one kernel call."""
+    """(name, make) pairs; make() -> fresh (a, planes) for one kernel call,
+    with one plane."""
     m = 6
     base = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     c, s = math.cos(0.3), complex(math.cos(1.1), math.sin(1.1)) * math.sin(0.3)
 
     def plain(a, p=1, q=4, cc=c):
-        return lambda: (a(), p, q, cc, s)
+        return lambda: (a(), [(p, q, cc, s)])
 
     def read_only():
         a = base.copy()
@@ -200,45 +205,52 @@ def _routed_cases(rng):
         ("negative out of range", plain(base.copy, -m - 1, 2)),
         ("p == q", plain(base.copy, 3, 3)),
         ("float index", plain(base.copy, 2.0, 4)),
-        ("numpy integer indices", plain(base.copy, np.int64(1), np.int64(4))),
         ("complex c", plain(base.copy, 1, 4, complex(c, 0.1))),
+        ("three items", lambda: (base.copy(), [(1, 4, c)])),
     ]
 
 
 def _outcome(kernel, make):
-    a, p, q, c, s = make()
+    a, planes = make()
     owner = a if a.base is None else a.base
     try:
-        kernel(a, p, q, c, s)
+        kernel(a, planes)
     except Exception as exc:  # the exception is the outcome to compare
         return type(exc), str(exc)
     return owner.dtype, owner.tobytes()
-
-
-@pytest.mark.parametrize("name, make", _routed_cases(np.random.default_rng(7)))
-def test_unsafe_inputs_get_the_numpy_kernel_bits_or_its_exception(name, make):
-    assert (_outcome(_kernels.plane_similarity, make)
-            == _outcome(_kernels.numpy_plane_similarity, make)), name
 
 
 def _as_third_plane(make):
     # two safe planes first: a kernel that wrote before checking every
     # plane would show them
     def planes():
-        a, p, q, c, s = make()
-        return a, (0, 2, p), (5, 3, q), (0.6, 0.8, c), (0.8j, -0.6, s)
+        a, plane = make()
+        return a, [(0, 5, 0.6, 0.8j), (2, 3, 0.8, -0.6), *plane]
     return planes
 
 
-# numpy integers are integers to rotate_cols; only the similarity routes them
-@pytest.mark.parametrize("name, make", [
-    (name, make) for name, make in _routed_cases(np.random.default_rng(7))
-    if name != "numpy integer indices"])
-def test_unsafe_rotate_cols_inputs_get_the_numpy_kernel_bits_or_its_exception(
-        name, make):
+@pytest.mark.parametrize("kernel", ["plane_similarity", "rotate_cols"])
+@pytest.mark.parametrize("name, make", _routed_cases(np.random.default_rng(7)))
+def test_unsafe_inputs_get_the_numpy_kernel_bits_or_its_exception(
+        kernel, name, make):
     for form in (make, _as_third_plane(make)):
-        assert (_outcome(_kernels.rotate_cols, form)
-                == _outcome(_kernels.numpy_rotate_cols, form)), name
+        assert (_outcome(getattr(_kernels, kernel), form)
+                == _outcome(getattr(_kernels, "numpy_" + kernel), form)), name
+
+
+@needs_zrot
+@pytest.mark.parametrize("kernel", ["plane_similarity", "rotate_cols"])
+def test_numpy_integer_indices_take_the_zrot_path(kernel, monkeypatch):
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    c, s = math.cos(0.3), complex(math.cos(1.1), math.sin(1.1)) * math.sin(0.3)
+    want = a.copy()
+    getattr(_kernels, kernel)(want, [(1, 4, c, s)])
+    monkeypatch.setattr(_kernels, "numpy_" + kernel, None)  # not callable
+    got = a.copy()
+    getattr(_kernels, kernel)(got, [(np.int64(1), np.intp(4), np.float64(c),
+                                     np.complex128(s))])
+    assert got.tobytes() == want.tobytes()
 
 
 @needs_zrot

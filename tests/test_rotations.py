@@ -171,7 +171,7 @@ def test_apply_right_batch_is_bitwise_one_at_a_time(family, n, data):
     for spec in specs:
         c = math.cos(spec.phi)
         for p, q, _, s in sn.planes(spec, n):
-            _kernels.rotate_cols(want, p, q, c, s)
+            _kernels.rotate_cols(want, [(p, q, c, s)])
     rotations = [sn.planes(spec, n) for spec in specs]
     one_at_a_time = z0.copy()
     for rotation in rotations:
