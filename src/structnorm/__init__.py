@@ -4,8 +4,8 @@ Supported structures: Hamiltonian, skew-Hamiltonian, per-Hermitian and
 perskew-Hermitian.  The central entry point is :func:`structnorm.solve`.
 """
 from ._kernels import BACKEND
-from .angles import (AngleProblem, AngleSolution, eval_g, grid_oracle,
-                     solve_angles, solve_angles_fixed_alpha)
+from .angles import (AngleSolution, eval_g, grid_oracle, solve_angles,
+                     solve_angles_fixed_alpha)
 from .gradient import (GradientResult, eta, grad_f, pivot_gain,
                        project_tangent, should_skip, tangent_gradient)
 from .jacobi import (NearestNormalResult, NonFiniteError, SolverConfig,
@@ -23,7 +23,7 @@ from .structures import (PERPLECTIC, SYMPLECTIC, StructureTag,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleProblem", "AngleSolution", "BACKEND", "GradientResult",
+    "AngleSolution", "BACKEND", "GradientResult",
     "MatrixFileError", "NearestNormalResult", "NonFiniteError", "PERPLECTIC",
     "RotationKind", "RotationSpec", "SYMPLECTIC", "SolverConfig",
     "StructureError", "StructureTag", "TraceRecord", "apply_right",

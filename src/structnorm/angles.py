@@ -23,6 +23,10 @@ so the best gain over both angles is F/4, and alpha is the polar angle of
 the top eigenvector's first two components.  F is found by Newton's method
 on det(xI - K) from K's Gershgorin bound, which decreases monotonically onto
 the largest root because every root is real.
+
+Every function here reads the pivot as the tuple
+``entries = (a_ii, a_ij, a_ji, a_jj)`` of Python complex numbers; a forced
+alpha is passed next to it.
 """
 from __future__ import annotations
 
@@ -38,25 +42,6 @@ _SCALE_LO, _SCALE_HI = 2.0 ** -32, 2.0 ** 32
 
 
 @dataclass(frozen=True)
-class AngleProblem:
-    """Pivot submatrix entries; fixed_alpha pins alpha for single embeddings."""
-
-    a_ii: complex
-    a_ij: complex
-    a_ji: complex
-    a_jj: complex
-    fixed_alpha: float | None = None
-
-    @classmethod
-    def from_matrix(cls, a: np.ndarray, i: int, j: int,
-                    fixed_alpha: float | None = None) -> "AngleProblem":
-        """Extract the pivot submatrix at 1-based plane labels (i, j)."""
-        p, q = i - 1, j - 1
-        return cls(a.item(p, p), a.item(p, q), a.item(q, p), a.item(q, q),
-                   fixed_alpha)
-
-
-@dataclass(frozen=True)
 class AngleSolution:
     phi: float
     alpha: float
@@ -65,11 +50,10 @@ class AngleSolution:
     case: str  # trivial | cubic | fixed_1d
 
 
-def _parts(problem: AngleProblem):
-    return (problem.a_ii.real, problem.a_ii.imag,
-            problem.a_jj.real, problem.a_jj.imag,
-            problem.a_ij.real, problem.a_ij.imag,
-            problem.a_ji.real, problem.a_ji.imag)
+def _parts(entries):
+    a_ii, a_ij, a_ji, a_jj = entries
+    return (a_ii.real, a_ii.imag, a_jj.real, a_jj.imag,
+            a_ij.real, a_ij.imag, a_ji.real, a_ji.imag)
 
 
 def _invariants(parts):
@@ -102,14 +86,14 @@ def _g_formula(parts, phi, alpha, m):
     return xii_p ** 2 + yii_p ** 2 + xjj_p ** 2 + yjj_p ** 2
 
 
-def eval_g(problem: AngleProblem, phi, alpha):
+def eval_g(entries, phi, alpha):
     """Post-rotation diagonal weight |a'_ii|^2 + |a'_jj|^2.
 
     Accepts scalars or broadcasting numpy arrays for phi and alpha.
     """
     if isinstance(phi, np.ndarray) or isinstance(alpha, np.ndarray):
-        return _g_formula(_parts(problem), phi, alpha, np)
-    return _g_formula(_parts(problem), float(phi), float(alpha), math)
+        return _g_formula(_parts(entries), phi, alpha, np)
+    return _g_formula(_parts(entries), float(phi), float(alpha), math)
 
 
 def _phi_slope_coeffs(s1, s2, s3, p, q, alpha):
@@ -157,8 +141,8 @@ def _top_eigenvalue(s1, s2, s3, p, q):
         x = nxt
 
 
-def _rescaled(problem: AngleProblem) -> tuple[tuple[float, ...], int]:
-    """The problem's 8 real parts times 2**-e, and e; e != 0 only at extreme scales.
+def _rescaled(entries) -> tuple[tuple[float, ...], int]:
+    """The pivot's 8 real parts times 2**-e, and e; e != 0 only at extreme scales.
 
     det(xI - K) has coefficients of degree 6 in the entries, so they overflow
     or underflow far inside the float range.  When the largest real or
@@ -168,7 +152,7 @@ def _rescaled(problem: AngleProblem) -> tuple[tuple[float, ...], int]:
     ``**`` is libm ``pow``, which is not exactly homogeneous, so rescaling
     every pivot would move the last bits of ordinary solutions.
     """
-    parts = _parts(problem)
+    parts = _parts(entries)
     big = max(map(abs, parts))
     if _SCALE_LO <= big <= _SCALE_HI:
         return parts, 0
@@ -180,7 +164,7 @@ def _best_phi(parts, scale_exp: int, inv, alpha: float,
               case: str) -> AngleSolution:
     """The best rotation at alpha, or the identity when it gains nothing.
 
-    g_value and gain are scaled back by 4**scale_exp to the caller's problem.
+    g_value and gain are scaled back by 4**scale_exp to the caller's entries.
     """
     pc, qc = _phi_slope_coeffs(*inv, alpha)
     phi = 0.25 * math.atan2(pc, -qc)
@@ -193,11 +177,9 @@ def _best_phi(parts, scale_exp: int, inv, alpha: float,
                          math.ldexp(gain, 2 * scale_exp), case)
 
 
-def solve_angles(problem: AngleProblem) -> AngleSolution:
-    """Maximize g over both angles (free-alpha mode, double embeddings)."""
-    if problem.fixed_alpha is not None:
-        raise ValueError("problem has fixed alpha; use solve_angles_fixed_alpha")
-    parts, scale_exp = _rescaled(problem)
+def solve_angles(entries) -> AngleSolution:
+    """Maximize g over both angles (double embeddings)."""
+    parts, scale_exp = _rescaled(entries)
     inv = _invariants(parts)
     s1, s2, s3, p, q = inv
     f = _top_eigenvalue(*inv)
@@ -208,29 +190,27 @@ def solve_angles(problem: AngleProblem) -> AngleSolution:
     return _best_phi(parts, scale_exp, inv, alpha, "cubic")
 
 
-def solve_angles_fixed_alpha(problem: AngleProblem) -> AngleSolution:
-    """Maximize g over phi alone, at the problem's fixed alpha."""
-    alpha = problem.fixed_alpha
-    if alpha is None:
-        raise ValueError("problem has free alpha; use solve_angles")
-    parts, scale_exp = _rescaled(problem)
+def solve_angles_fixed_alpha(entries, alpha: float) -> AngleSolution:
+    """Maximize g over phi alone, at the given alpha (single embeddings)."""
+    parts, scale_exp = _rescaled(entries)
     return _best_phi(parts, scale_exp, _invariants(parts), alpha, "fixed_1d")
 
 
-def grid_oracle(problem: AngleProblem, grid: int) -> tuple[float, float, float]:
+def grid_oracle(entries, grid: int,
+                fixed_alpha: float | None = None) -> tuple[float, float, float]:
     """Exhaustive lattice search over the angle domain; verification oracle.
 
-    Returns (phi, alpha, g) of the best lattice point.  Under fixed alpha the
-    lattice is one-dimensional in phi.
+    Returns (phi, alpha, g) of the best lattice point.  Under a fixed alpha
+    the lattice is one-dimensional in phi.
     """
     if grid < 3:
         raise ValueError("grid must be >= 3")
     phis = np.linspace(-_QUARTER_PI, _QUARTER_PI, grid)
-    if problem.fixed_alpha is not None:
-        g = eval_g(problem, phis, problem.fixed_alpha)
+    if fixed_alpha is not None:
+        g = eval_g(entries, phis, fixed_alpha)
         k = int(np.argmax(g))
-        return float(phis[k]), problem.fixed_alpha, float(g[k])
+        return float(phis[k]), fixed_alpha, float(g[k])
     alphas = np.linspace(-_HALF_PI, _HALF_PI, grid)
-    g = eval_g(problem, phis[:, None], alphas[None, :])
+    g = eval_g(entries, phis[:, None], alphas[None, :])
     k0, k1 = np.unravel_index(int(np.argmax(g)), g.shape)
     return float(phis[k0]), float(alphas[k1]), float(g[k0, k1])

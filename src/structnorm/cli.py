@@ -78,7 +78,7 @@ def cmd_solve(args) -> int:
     try:
         write_matrix(args.out_normal, result.x)
         write_matrix(args.out_z, result.z)
-        if args.trace:
+        if args.trace is not None:
             _write_trace(args.trace, result.trace)
     except OSError as exc:
         raise _CliError(2, f"cannot write output: {exc}") from exc
@@ -284,6 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "rotations", None) is not None and not args.normal:
+        parser.error("argument --rotations: only valid with --normal")
     if getattr(args, "seed", 0) is None:  # read only where --seed is used
         seed = os.environ.get("STRUCTNORM_SEED", "0")
         try:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rotations import RotationSpec, check_pivot, planes
+from .rotations import RotationKind, check_pivot
 from .structures import SYMPLECTIC, _ldexp, frob_norm, make_F, make_J
 
 
@@ -103,8 +103,8 @@ def eta(n: int) -> float:
     return 2.0 / math.sqrt(4.0 * n * n - 2.0 * n)
 
 
-def pivot_gain(x: np.ndarray, spec: RotationSpec) -> float:
-    """First-order objective gain |Re tr(X^H dR/dphi|_0)| of the pivot.
+def pivot_gain(x: np.ndarray, kind: RotationKind, i: int, j: int) -> float:
+    """First-order objective gain |Re tr(X^H dR/dphi|_0)| of the pivot (i, j).
 
     X is the tangent gradient factor (GradientResult.x).  For double
     embeddings alpha is chosen to align with the pivot entry of X, which
@@ -112,16 +112,16 @@ def pivot_gain(x: np.ndarray, spec: RotationSpec) -> float:
     yield 2|x_ij|.  sgn(0) is taken as 1 so a zero entry gives gain 0.
     """
     n = x.shape[0] // 2
-    kind, i, j = spec.kind, spec.i, spec.j
-    alpha = check_pivot(kind, i, j, n).fixed_alpha
+    kind_row = check_pivot(kind, i, j, n)
+    alpha = kind_row.fixed_alpha
     x_piv = x.item(i - 1, j - 1)
     if alpha is None:
         # e^{-i alpha} = conj(x)/|x|
         alpha = math.atan2(x_piv.imag, x_piv.real) if x_piv != 0 else 0.0
     total = 0.0
-    # each plane's s = e^{i alpha'} sin(phi) at phi = pi/2, where sin is
-    # exactly 1, is d s / d phi at phi = 0 (Python complex: numpy's bits)
-    for p, q, _, ds in planes(RotationSpec(kind, i, j, math.pi / 2, alpha), n):
+    # the planes of dR/dphi at phi = 0: dc/dphi = 0, ds/dphi = e^{i alpha}
+    e_alpha = complex(math.cos(alpha), math.sin(alpha))
+    for p, q, _, ds in kind_row.layout(i, j, n, 0.0, e_alpha):
         total += (x.item(p, q).conjugate() * (-ds)
                   + x.item(q, p).conjugate() * ds.conjugate()).real
     return abs(total)

@@ -22,7 +22,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .angles import AngleProblem, solve_angles, solve_angles_fixed_alpha
+from .angles import solve_angles, solve_angles_fixed_alpha
 from .gradient import pivot_gain, should_skip, tangent_gradient
 from .rotations import (_ORDERINGS, RotationKind, RotationSpec, apply_right,
                         apply_similarity, pivot_set, planes)
@@ -140,18 +140,19 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
         for kind, i, j in pivots:
             state.step += 1
             if config.skip_rule:
-                gain = pivot_gain(x_sweep, RotationSpec(kind, i, j, 0.0))
+                gain = pivot_gain(x_sweep, kind, i, j)
                 if should_skip(gain, grad_norm, n):
                     if trace:
                         weights = _record(state, kind, i, j, 0.0, 0.0, True,
                                           weights)
                     continue
+            p, q = i - 1, j - 1
+            entries = a.item(p, p), a.item(p, q), a.item(q, p), a.item(q, q)
             fixed_alpha = fixed_alphas[kind]
-            problem = AngleProblem.from_matrix(a, i, j, fixed_alpha)
             if fixed_alpha is None:
-                sol = solve_angles(problem)
+                sol = solve_angles(entries)
             else:
-                sol = solve_angles_fixed_alpha(problem)
+                sol = solve_angles_fixed_alpha(entries, fixed_alpha)
             if abs(sol.phi) < PHI_SKIP:
                 if trace:
                     weights = _record(state, kind, i, j, sol.phi, sol.alpha,

@@ -55,10 +55,6 @@ class RotationKind(Enum):
         return _KINDS[self].family
 
     @property
-    def is_single(self) -> bool:
-        return _KINDS[self].fixed_alpha is not None
-
-    @property
     def fixed_alpha(self) -> float | None:
         """Forced alpha for single embeddings, None for double ones."""
         return _KINDS[self].fixed_alpha

@@ -4,11 +4,11 @@ import numpy as np
 import structnorm as sn
 
 
-def random_problem(rng, fixed_alpha=None):
+def random_problem(rng):
+    """Random pivot entries (a_ii, a_ij, a_ji, a_jj)."""
     v = rng.standard_normal(8)
-    return sn.AngleProblem(complex(v[0], v[1]), complex(v[2], v[3]),
-                           complex(v[4], v[5]), complex(v[6], v[7]),
-                           fixed_alpha=fixed_alpha)
+    return (complex(v[0], v[1]), complex(v[2], v[3]),
+            complex(v[4], v[5]), complex(v[6], v[7]))
 
 
 def random_structured_unitary(family, n, rotations=60, seed=0):
@@ -27,11 +27,11 @@ def dense_similarity(a, spec):
     return r.conj().T @ a @ r
 
 
-def submatrix_oracle_g(problem, phi, alpha):
+def submatrix_oracle_g(entries, phi, alpha):
     """Oracle for eval_g: the explicit 2x2 triple product."""
     g = np.array([[np.cos(phi), -np.exp(1j * alpha) * np.sin(phi)],
                   [np.exp(-1j * alpha) * np.sin(phi), np.cos(phi)]])
-    sub = np.array([[problem.a_ii, problem.a_ij],
-                    [problem.a_ji, problem.a_jj]])
+    a_ii, a_ij, a_ji, a_jj = entries
+    sub = np.array([[a_ii, a_ij], [a_ji, a_jj]])
     out = g.conj().T @ sub @ g
     return float(abs(out[0, 0]) ** 2 + abs(out[1, 1]) ** 2)

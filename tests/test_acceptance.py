@@ -199,9 +199,9 @@ def test_criterion_06_angle_solver_oracle(capsys):
                 fd_bad += 1
     for fixed in (0.0, -math.pi / 2):
         for _ in range(10_000):
-            pr = random_problem(rng, fixed_alpha=fixed)
-            sol = sn.solve_angles_fixed_alpha(pr)
-            _, _, g_grid = sn.grid_oracle(pr, 401)
+            pr = random_problem(rng)
+            sol = sn.solve_angles_fixed_alpha(pr, fixed)
+            _, _, g_grid = sn.grid_oracle(pr, 401, fixed)
             if sol.g_value < g_grid - 1e-6 * (1 + g_grid):
                 failures += 1
     elapsed = time.time() - t0
@@ -272,7 +272,7 @@ def test_criterion_08_pivot_condition_bound(capsys):
             z = random_structured_unitary(family, n, rotations=80,
                                           seed=8500 + 100 * idx + trial)
             x, grad_norm = sn.tangent_gradient(z.conj().T @ a @ z, family)
-            best = max(sn.pivot_gain(x, sn.RotationSpec(kind, i, j, 0.0))
+            best = max(sn.pivot_gain(x, kind, i, j)
                        for kind, i, j in pivots)
             worst_margin = min(worst_margin,
                                best - sn.eta(n) * grad_norm + 1e-12)

@@ -12,12 +12,12 @@ from helpers import random_problem, submatrix_oracle_g
 
 
 def test_eval_g_diagonal_identity():
-    pr = sn.AngleProblem(3 + 4j, 0j, 0j, 1 - 2j)
+    pr = (3 + 4j, 0j, 0j, 1 - 2j)
     assert sn.eval_g(pr, 0.0, 0.0) == pytest.approx(25 + 5, rel=1e-15)
 
 
 def test_eval_g_swap_matrix():
-    pr = sn.AngleProblem(0j, 1 + 0j, 1 + 0j, 0j)
+    pr = (0j, 1 + 0j, 1 + 0j, 0j)
     assert sn.eval_g(pr, math.pi / 4, 0.0) == pytest.approx(2.0, rel=1e-14)
 
 
@@ -34,7 +34,7 @@ def test_eval_g_matches_triple_product_oracle(seed):
 
 
 def test_eval_g_broadcasts():
-    pr = sn.AngleProblem(1 + 1j, 0.5j, -0.25 + 0j, 2 - 1j)
+    pr = (1 + 1j, 0.5j, -0.25 + 0j, 2 - 1j)
     phis = np.linspace(-0.7, 0.7, 5)
     alphas = np.linspace(-1.5, 1.5, 7)
     grid = sn.eval_g(pr, phis[:, None], alphas[None, :])
@@ -74,12 +74,12 @@ def test_solve_angles_gains_all_offdiagonal_weight_of_normal_blocks(
     delta = a_ii - a_jj
     c *= abs(delta) / abs(c) * 10.0 ** log_ratio
     b = delta / delta.conjugate() * c.conjugate()
-    sol = sn.solve_angles(sn.AngleProblem(a_ii, b, c, a_jj))
+    sol = sn.solve_angles((a_ii, b, c, a_jj))
     assert sol.gain == pytest.approx(abs(b) ** 2 + abs(c) ** 2, rel=1e-12)
 
 
 def test_solve_angles_diagonal_prefers_identity():
-    pr = sn.AngleProblem(2 + 1j, 0j, 0j, 1 + 0j)
+    pr = (2 + 1j, 0j, 0j, 1 + 0j)
     sol = sn.solve_angles(pr)
     assert sol.phi == 0.0
     assert sol.case == "trivial"
@@ -87,16 +87,9 @@ def test_solve_angles_diagonal_prefers_identity():
 
 
 def test_solve_angles_swap_matrix():
-    sol = sn.solve_angles(sn.AngleProblem(0j, 1 + 0j, 1 + 0j, 0j))
+    sol = sn.solve_angles((0j, 1 + 0j, 1 + 0j, 0j))
     assert sol.g_value == pytest.approx(2.0, rel=1e-13)
     assert abs(sol.phi) == pytest.approx(math.pi / 4, rel=1e-12)
-
-
-def test_solve_angles_rejects_fixed_mode():
-    with pytest.raises(ValueError):
-        sn.solve_angles(sn.AngleProblem(0j, 0j, 0j, 0j, fixed_alpha=0.0))
-    with pytest.raises(ValueError):
-        sn.solve_angles_fixed_alpha(sn.AngleProblem(0j, 0j, 0j, 0j))
 
 
 @settings(max_examples=100, deadline=None)
@@ -118,33 +111,35 @@ def test_solve_angles_beats_grid_oracle():
         assert sol.g_value >= g_grid - 1e-6 * (1 + g_grid)
 
 
-@pytest.mark.parametrize("fixed", [0.0, -math.pi / 2])
+# the forced alphas of the single embeddings, and others
+@pytest.mark.parametrize("fixed", [0.0, -math.pi / 2, math.pi / 4,
+                                   -math.pi / 4, math.pi / 3])
 def test_fixed_alpha_beats_grid_oracle(fixed):
     rng = np.random.default_rng(13)
     for _ in range(300):
-        pr = random_problem(rng, fixed_alpha=fixed)
-        sol = sn.solve_angles_fixed_alpha(pr)
+        pr = random_problem(rng)
+        sol = sn.solve_angles_fixed_alpha(pr, fixed)
         assert sol.alpha == fixed
-        _, _, g_grid = sn.grid_oracle(pr, 401)
+        _, _, g_grid = sn.grid_oracle(pr, 401, fixed)
         assert sol.g_value >= g_grid - 1e-6 * (1 + g_grid)
 
 
 def test_fixed_alpha_zero_offdiagonal_prefers_identity():
-    pr = sn.AngleProblem(1 + 2j, 0j, 0j, -3 + 1j, fixed_alpha=0.0)
-    sol = sn.solve_angles_fixed_alpha(pr)
+    pr = (1 + 2j, 0j, 0j, -3 + 1j)
+    sol = sn.solve_angles_fixed_alpha(pr, 0.0)
     assert sol.phi == 0.0
 
 
 def test_fixed_alpha_examples_match_1d_grid():
-    pr = sn.AngleProblem(1 + 0j, 2 + 0j, 2 + 0j, -1 + 0j, fixed_alpha=0.0)
-    sol = sn.solve_angles_fixed_alpha(pr)
-    _, _, g_grid = sn.grid_oracle(pr, 40_001)
+    pr = (1 + 0j, 2 + 0j, 2 + 0j, -1 + 0j)
+    sol = sn.solve_angles_fixed_alpha(pr, 0.0)
+    _, _, g_grid = sn.grid_oracle(pr, 40_001, 0.0)
     assert sol.g_value >= g_grid - 1e-8 * (1 + g_grid)
 
     z = 0.7j
-    pr = sn.AngleProblem(z, z, z, z, fixed_alpha=-math.pi / 2)
-    sol = sn.solve_angles_fixed_alpha(pr)
-    _, _, g_grid = sn.grid_oracle(pr, 40_001)
+    pr = (z, z, z, z)
+    sol = sn.solve_angles_fixed_alpha(pr, -math.pi / 2)
+    _, _, g_grid = sn.grid_oracle(pr, 40_001, -math.pi / 2)
     assert sol.g_value >= g_grid - 1e-8 * (1 + g_grid)
 
 
@@ -179,23 +174,23 @@ def test_grid_oracle_refinement_is_monotone():
 
 
 def test_grid_oracle_identity_submatrix():
-    pr = sn.AngleProblem(1 + 0j, 0j, 0j, 1 + 0j)
+    pr = (1 + 0j, 0j, 0j, 1 + 0j)
     phi, alpha, g = sn.grid_oracle(pr, 41)
     assert g == pytest.approx(2.0, rel=1e-15)
 
 
 def test_grid_oracle_rejects_tiny_grid():
     with pytest.raises(ValueError):
-        sn.grid_oracle(sn.AngleProblem(0j, 0j, 0j, 0j), 2)
+        sn.grid_oracle((0j, 0j, 0j, 0j), 2)
 
 
 def test_near_symmetric_pivot_recovers_small_rotation():
     # nearly symmetric off-diagonal entries make the alpha equation
     # degenerate; the phi recovery must survive that
-    pr = sn.AngleProblem(-1.07 - 3.82j,
-                         0.009 + 0.015j,
-                         0.009 + 0.015j,
-                         0.72 - 0.85j)
+    pr = (-1.07 - 3.82j,
+          0.009 + 0.015j,
+          0.009 + 0.015j,
+          0.72 - 0.85j)
     sol = sn.solve_angles(pr)
     g0 = sn.eval_g(pr, 0.0, 0.0)
     _, _, g_grid = sn.grid_oracle(pr, 2001)

@@ -53,6 +53,18 @@ def test_gen_unwritable_path_exits_2(tmp_path):
     assert proc.stderr.strip()
 
 
+def test_gen_rotations_without_normal_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.mat"
+    gen = ["gen", "--structure", "hamiltonian", "--n", "2", "--rotations", "5",
+           "--out", str(out)]
+    with pytest.raises(SystemExit) as info:
+        main(gen)
+    assert info.value.code == 2
+    assert "--normal" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(gen + ["--normal"]) == 0
+
+
 def test_verify_j_as_hamiltonian(tmp_path):
     path = tmp_path / "j.mat"
     sn.write_matrix(path, sn.make_J(3))
@@ -191,6 +203,16 @@ def test_solve_without_trace_records_none(tmp_path, monkeypatch):
     assert main(["solve", "--in", str(path), "--structure", "hamiltonian",
                  "--out-normal", str(tmp_path / "x.mat"),
                  "--out-z", str(tmp_path / "z.mat")]) == 0
+
+
+def test_solve_empty_trace_path_exits_2(tmp_path, capsys):
+    # an empty --trace turns the trace on, so it must be written or fail
+    path = tmp_path / "h.mat"
+    sn.write_matrix(path, sn.gen_structured(sn.StructureTag.HAMILTONIAN, 2, 0))
+    assert main(["solve", "--in", str(path), "--structure", "hamiltonian",
+                 "--out-normal", str(tmp_path / "x.mat"),
+                 "--out-z", str(tmp_path / "z.mat"), "--trace", ""]) == 2
+    assert "cannot write output" in capsys.readouterr().err
 
 
 def test_verify_parse_error_exits_2(tmp_path):
