@@ -9,11 +9,11 @@ Subcommands:
 * ``normality``  commutator residual ||X X^H - X^H X||_F
 * ``experiment`` convergence-study CSV suites (figures 1-4)
 
-Exit codes: 0 success (solve prints converged=0 as a warning flag when the
-sweep limit was hit), 1 verify residual above tolerance, 2 usage, file or
-numeric errors, 3 solve input failing its structure check.  The default seed
-is 0, overridable with the STRUCTNORM_SEED environment variable; a value that
-is not an integer is a usage error (exit 2) of ``gen`` and ``experiment``.
+Exit codes, all mapped by ``main``: 0 success (converged=0 from solve flags a
+hit sweep limit), 1 verify residual above tolerance, 2 usage, file or numeric
+errors, 3 solve input failing its structure check.  A solve that cannot write
+all of its outputs leaves none of them.  The seed defaults to 0, or to
+STRUCTNORM_SEED, which must be an integer (else exit 2 in gen and experiment).
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jacobi
-from .matrixio import MatrixFileError, read_matrix, write_matrix
+from .matrixio import read_matrix, write_matrix
 from .structures import (StructureTag, _ldexp, check_structure, diag_norm_sq,
                          frob_norm, gen_normal_structured, gen_structured,
                          offdiag_norm_sq)
@@ -40,19 +40,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _read(path: str) -> np.ndarray:
-    try:
-        return read_matrix(path)
-    except (OSError, MatrixFileError) as exc:
-        raise _CliError(2, str(exc)) from exc
-
-
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def cmd_gen(args) -> int:
     tag = StructureTag.from_name(args.structure)
     if args.normal:
@@ -63,25 +50,29 @@ def cmd_gen(args) -> int:
     try:
         write_matrix(args.out, a)
     except OSError as exc:
-        raise _CliError(2, f"cannot write {args.out}: {exc}") from exc
+        raise ValueError(f"cannot write {args.out}: {exc}") from exc
     return 0
 
 
 def cmd_solve(args) -> int:
     tag = StructureTag.from_name(args.structure)
-    a = _read(args.infile)
+    a = read_matrix(args.infile)
     config = jacobi.SolverConfig(ordering=args.ordering.upper(), tol=args.tol,
                                  max_sweeps=args.max_sweeps,
                                  skip_rule=args.skip_rule,
                                  trace=args.trace is not None)
     result = jacobi.solve(a, tag, config)
+    written = []
     try:
-        write_matrix(args.out_normal, result.x)
-        write_matrix(args.out_z, result.z)
+        for path, m in ((args.out_normal, result.x), (args.out_z, result.z)):
+            write_matrix(path, m)
+            written.append(path)
         if args.trace is not None:
             _write_trace(args.trace, result.trace)
     except OSError as exc:
-        raise _CliError(2, f"cannot write output: {exc}") from exc
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise ValueError(f"cannot write output: {exc}") from exc
     print(f"sweeps={result.sweeps} converged={int(result.converged)} "
           f"distance={_fmt(result.distance)} "
           f"offdiag_norm={_fmt(result.offdiag_norm_sq ** 0.5)} "
@@ -104,21 +95,21 @@ def _write_trace(path, records) -> None:
 def cmd_verify(args) -> int:
     tag = StructureTag.from_name(args.structure)
     if not (np.isfinite(args.tol) and args.tol >= 0):
-        raise _CliError(2, "tol must be non-negative and finite")
-    resid = check_structure(_read(args.infile), tag)
+        raise ValueError("tol must be non-negative and finite")
+    resid = check_structure(read_matrix(args.infile), tag)
     print(_fmt(resid))
     return 0 if resid <= args.tol else 1
 
 
 def cmd_distance(args) -> int:
-    print(_fmt(jacobi.distance_to(_read(args.a), _read(args.b))))
+    print(_fmt(jacobi.distance_to(read_matrix(args.a), read_matrix(args.b))))
     return 0
 
 
 def cmd_normality(args) -> int:
-    x = _read(args.infile)
+    x = read_matrix(args.infile)
     if x.shape[0] != x.shape[1]:
-        raise _CliError(2, "matrix must be square")
+        raise ValueError("matrix must be square")
     print(_fmt(_commutator_norm(x)))
     return 0
 
@@ -133,7 +124,7 @@ def _commutator_norm(x: np.ndarray) -> float:
         try:
             resid = math.ldexp(_commutator_norm(_ldexp(x, -e)), 2 * e)
         except OverflowError:
-            raise _CliError(2, "the commutator residual overflows") from None
+            raise ValueError("the commutator residual overflows") from None
     return resid
 
 
@@ -177,7 +168,7 @@ def cmd_experiment(args) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise _CliError(2, f"cannot create {out}: {exc}") from exc
+        raise ValueError(f"cannot create {out}: {exc}") from exc
     seed = args.seed
     fig = args.figure
     n = _FIGURE_N[fig] if args.n is None else args.n
@@ -223,7 +214,7 @@ def _write_lines(path, lines) -> None:
     try:
         Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
     except OSError as exc:
-        raise _CliError(2, f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -295,13 +286,10 @@ def main(argv=None) -> int:
                          f"value: {seed!r}")
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except jacobi.StructureError as exc:
+    except jacobi.StructureError as exc:  # a ValueError: caught first
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError) as exc:  # NonFiniteError is one
+    except (OSError, ValueError, ArithmeticError) as exc:  # NonFiniteError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

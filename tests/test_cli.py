@@ -108,6 +108,31 @@ def test_non_ascii_file_exits_2_naming_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: bad entry on line 3\n"
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["solve", "verify", "distance",
+                                     "normality"])
+def test_unreadable_input_exits_2_with_one_error_line(tmp_path, command, kind):
+    good = tmp_path / "h.mat"
+    sn.write_matrix(good, sn.gen_structured(sn.StructureTag.HAMILTONIAN, 2, 0))
+    bad = tmp_path / "input"
+    if kind == "directory":
+        bad.mkdir()
+    argv = {"solve": ["solve", "--in", str(bad), "--structure", "hamiltonian",
+                      "--out-normal", str(tmp_path / "x.mat"),
+                      "--out-z", str(tmp_path / "z.mat")],
+            "verify": ["verify", "--in", str(bad), "--structure", "hamiltonian"],
+            "distance": ["distance", "--a", str(good), "--b", str(bad)],
+            "normality": ["normality", "--in", str(bad)]}[command]
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: [Errno ")
+    assert str(bad) in lines[0]
+    assert not (tmp_path / "x.mat").exists()
+
+
 def test_arithmetic_error_exits_2(tmp_path, monkeypatch):
     path = tmp_path / "h.mat"
     sn.write_matrix(path, sn.gen_structured(sn.StructureTag.HAMILTONIAN, 2, 0))
@@ -213,6 +238,26 @@ def test_solve_empty_trace_path_exits_2(tmp_path, capsys):
                  "--out-normal", str(tmp_path / "x.mat"),
                  "--out-z", str(tmp_path / "z.mat"), "--trace", ""]) == 2
     assert "cannot write output" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failing", ["trace-dir", "trace-empty", "z-dir"])
+def test_solve_that_cannot_write_an_output_leaves_none(tmp_path, capsys,
+                                                       failing):
+    path = tmp_path / "h.mat"
+    sn.write_matrix(path, sn.gen_structured(sn.StructureTag.HAMILTONIAN, 2, 0))
+    x, z, trace = tmp_path / "x.mat", tmp_path / "z.mat", tmp_path / "t.csv"
+    if failing == "z-dir":
+        z = tmp_path / "no" / "z.mat"
+    elif failing == "trace-dir":
+        trace = tmp_path / "no" / "t.csv"
+    argv = ["solve", "--in", str(path), "--structure", "hamiltonian",
+            "--out-normal", str(x), "--out-z", str(z),
+            "--trace", "" if failing == "trace-empty" else str(trace)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: [Errno ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.mat"]
 
 
 def test_verify_parse_error_exits_2(tmp_path):
@@ -462,6 +507,18 @@ def test_experiment_unwritable_figure_exits_2(tmp_path, figure, name):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: cannot write {tmp_path / name}: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_experiment_out_dir_under_a_file_exits_2(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub"
+    proc = run_cli("experiment", "--figure", "2", "--n", "2",
+                   "--out-dir", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot create {out}: ")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_experiment_figure_1(tmp_path):
