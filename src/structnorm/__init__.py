@@ -11,10 +11,9 @@ from .gradient import (GradientResult, eta, grad_f, pivot_gain,
 from .jacobi import (NearestNormalResult, NonFiniteError, SolverConfig,
                      StructureError, TraceRecord, distance_to, iterate, solve)
 from .matrixio import MatrixFileError, read_matrix, write_matrix
-from .rotations import (RotationKind, RotationSpec, apply_right,
-                        apply_similarity, build_rotation,
-                        is_structure_preserving, pivot_set, planes,
-                        random_spec)
+from .rotations import (RotationKind, apply_right, apply_similarity,
+                        build_rotation, is_structure_preserving, pivot_set,
+                        planes, random_angles)
 from .structures import (PERPLECTIC, SYMPLECTIC, StructureTag,
                          check_structure, diag_norm_sq, frob_norm,
                          gen_normal_structured, gen_structured, make_F,
@@ -25,13 +24,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AngleSolution", "BACKEND", "GradientResult",
     "MatrixFileError", "NearestNormalResult", "NonFiniteError", "PERPLECTIC",
-    "RotationKind", "RotationSpec", "SYMPLECTIC", "SolverConfig",
+    "RotationKind", "SYMPLECTIC", "SolverConfig",
     "StructureError", "StructureTag", "TraceRecord", "apply_right",
     "apply_similarity", "build_rotation", "check_structure", "diag_norm_sq",
     "distance_to", "eta", "eval_g", "frob_norm", "gen_normal_structured",
     "gen_structured", "grad_f", "grid_oracle", "is_structure_preserving",
     "iterate", "make_F", "make_J", "offdiag_norm_sq", "pivot_gain",
-    "pivot_set", "planes", "project_tangent", "random_spec", "read_matrix",
+    "pivot_set", "planes", "project_tangent", "random_angles", "read_matrix",
     "should_skip", "solve", "solve_angles", "solve_angles_fixed_alpha",
     "structured_diagonal", "tangent_gradient", "write_matrix",
 ]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .angles import solve_angles, solve_angles_fixed_alpha
 from .gradient import pivot_gain, should_skip, tangent_gradient
-from .rotations import (_ORDERINGS, RotationKind, RotationSpec, apply_right,
+from .rotations import (_ORDERINGS, RotationKind, apply_right,
                         apply_similarity, pivot_set, planes)
 from .structures import (StructureTag, check_structure, diag_norm_sq,
                          frob_norm, offdiag_norm_sq)
@@ -117,9 +117,10 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
     """One full pass over the pivot set, mutating the state in place.
 
     The iterate ``state.a`` is rotated pivot by pivot.  ``state.z`` is brought
-    up to date once, when the sweep ends: one ``apply_right`` call with every
-    rotation the sweep applied.  That call also runs when the sweep raises,
-    so Z always matches the iterate (it then includes the failing rotation).
+    up to date once, when the sweep ends: one ``apply_right`` call with the
+    planes of every rotation the sweep applied, in order.  That call also
+    runs when the sweep raises, so Z always matches the iterate (it then
+    includes the failing rotation).
     """
     a, z = state.a, state.z
     n = a.shape[0] // 2
@@ -135,7 +136,7 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
     if config.skip_rule:
         x_sweep, grad_norm = tangent_gradient(a, tag.family)
 
-    applied = []  # plane lists, accumulated into Z as the sweep ends
+    applied = []  # the applied planes, accumulated into Z as the sweep ends
     try:
         for kind, i, j in pivots:
             state.step += 1
@@ -158,9 +159,9 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
                     weights = _record(state, kind, i, j, sol.phi, sol.alpha,
                                       True, weights)
                 continue
-            rotation = planes(RotationSpec(kind, i, j, sol.phi, sol.alpha), n)
+            rotation = planes(kind, i, j, sol.phi, sol.alpha, n)
             apply_similarity(a, rotation)
-            applied.append(rotation)
+            applied += rotation
             rows = [r for p, q, _, _ in rotation for r in (p, q)]
             if not np.isfinite(a.take(rows, 0)).all():
                 raise NonFiniteError(
@@ -170,7 +171,7 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
             if trace:
                 weights = _record(state, kind, i, j, sol.phi, sol.alpha, False)
     finally:
-        apply_right(z, *applied)
+        apply_right(z, applied)
     state.sweep += 1
     state.sweep_gain = sweep_gain
     return state

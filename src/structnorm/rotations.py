@@ -20,16 +20,17 @@ layout(i, j, n, c, s) of its planes) is stated once, in the per-kind table
 :func:`check_pivot` and :func:`planes` read it.  It holds nothing per pivot
 position: a one-shot solve would not reuse such a cache.
 
-A rotation is applied as its plane list ``planes(spec, n)``: one 0-based
-(p, q, c, s) per embedded block.  :func:`planes` alone checks the pivot,
+A rotation is (kind, i, j, phi, alpha) until ``planes(kind, i, j, phi,
+alpha, n)`` lays it out as its plane list: one 0-based (p, q, c, s) per
+embedded block; a product of rotations is the concatenation of their lists.
+:func:`planes` alone checks the pivot, forces a single kind's alpha,
 evaluates the trig and lays out the planes; :func:`apply_similarity` and
-:func:`apply_right` hand its lists to the kernels as they are.
+:func:`apply_right` hand the lists to the kernels as they are.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from operator import index, itemgetter
 
@@ -61,6 +62,10 @@ class RotationKind(Enum):
 
 
 _Kind = namedtuple("_Kind", "family fixed_alpha cols layout")
+# the layouts two kinds share; perplectic doubles mirror into the flipped
+# plane with -conj(s)
+_single = lambda i, j, n, c, s: [(i - 1, j - 1, c, s)]
+_perp_double = lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (2 * n - j, 2 * n - i, c, -s.conjugate())]
 # cols(i, n) bounds the pivot columns lo <= j < hi of row i, 1 <= i <= n.
 # Each family's rows are in O1 order: direct sum, single, the other double.
 _KINDS = {
@@ -68,33 +73,18 @@ _KINDS = {
         SYMPLECTIC, None, lambda i, n: (i + 1, n + 1),
         lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (n + i - 1, n + j - 1, c, s)]),
     RotationKind.SYMP_SINGLE: _Kind(
-        SYMPLECTIC, 0.0, lambda i, n: (n + i, n + i + 1),
-        lambda i, j, n, c, s: [(i - 1, j - 1, c, s)]),
+        SYMPLECTIC, 0.0, lambda i, n: (n + i, n + i + 1), _single),
     RotationKind.SYMP_CONCENTRIC: _Kind(
         SYMPLECTIC, None, lambda i, n: (n + i + 1, 2 * n + 1),
         lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (j - n - 1, n + i - 1, c, s.conjugate())]),
-    # perplectic doubles mirror into the flipped plane with -conj(s)
     RotationKind.PERP_DIRECT_SUM: _Kind(
-        PERPLECTIC, None, lambda i, n: (i + 1, n + 1),
-        lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (2 * n - j, 2 * n - i, c, -s.conjugate())]),
+        PERPLECTIC, None, lambda i, n: (i + 1, n + 1), _perp_double),
     RotationKind.PERP_SINGLE: _Kind(
         PERPLECTIC, -math.pi / 2, lambda i, n: (2 * n - i + 1, 2 * n - i + 2),
-        lambda i, j, n, c, s: [(i - 1, j - 1, c, s)]),
+        _single),
     RotationKind.PERP_INTERLEAVED: _Kind(
-        PERPLECTIC, None, lambda i, n: (n + 1, 2 * n - i + 1),
-        lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (2 * n - j, 2 * n - i, c, -s.conjugate())]),
+        PERPLECTIC, None, lambda i, n: (n + 1, 2 * n - i + 1), _perp_double),
 }
-
-
-@dataclass(frozen=True)
-class RotationSpec:
-    """One rotation R(i, j, phi, alpha); (i, j) must lie in the kind's pivot set."""
-
-    kind: RotationKind
-    i: int
-    j: int
-    phi: float
-    alpha: float = 0.0
 
 
 def check_pivot(kind: RotationKind, i: int, j: int, n: int) -> _Kind:
@@ -111,19 +101,19 @@ def check_pivot(kind: RotationKind, i: int, j: int, n: int) -> _Kind:
     )
 
 
-def planes(spec: RotationSpec, n: int) -> list[tuple[int, int, float, complex]]:
-    """The rotation's plane list: embedded Givens planes (p, q, c, s), 0-based p < q.
+def planes(kind: RotationKind, i: int, j: int, phi: float, alpha: float,
+           n: int) -> list[tuple[int, int, float, complex]]:
+    """Plane list of R(i, j, phi, alpha): Givens planes (p, q, c, s), 0-based p < q.
 
     Each plane carries the block [[c, -s], [conj(s), c]] at rows/columns
-    (p, q); c = cos(phi) is the same in all planes of the rotation.
+    (p, q); c = cos(phi) is the same in all planes of the rotation.  A single
+    kind's forced alpha replaces ``alpha``.
     """
-    i, j = spec.i, spec.j
-    kind_row = check_pivot(spec.kind, i, j, n)
-    alpha = kind_row.fixed_alpha
-    if alpha is None:
-        alpha = spec.alpha
-    s = complex(math.cos(alpha), math.sin(alpha)) * math.sin(spec.phi)
-    return kind_row.layout(i, j, n, math.cos(spec.phi), s)
+    kind_row = check_pivot(kind, i, j, n)
+    if kind_row.fixed_alpha is not None:
+        alpha = kind_row.fixed_alpha
+    s = complex(math.cos(alpha), math.sin(alpha)) * math.sin(phi)
+    return kind_row.layout(i, j, n, math.cos(phi), s)
 
 
 def _half_dim(dim: int) -> int:
@@ -132,11 +122,12 @@ def _half_dim(dim: int) -> int:
     return dim // 2
 
 
-def build_rotation(spec: RotationSpec, dim: int) -> np.ndarray:
-    """Explicit dim x dim rotation matrix."""
+def build_rotation(kind: RotationKind, i: int, j: int, phi: float, alpha: float,
+                   dim: int) -> np.ndarray:
+    """Explicit dim x dim matrix of R(i, j, phi, alpha)."""
     n = _half_dim(dim)
     r = np.eye(dim, dtype=np.complex128)
-    for p, q, c, s in planes(spec, n):
+    for p, q, c, s in planes(kind, i, j, phi, alpha, n):
         r[p, p] = c
         r[p, q] = -s
         r[q, p] = np.conj(s)
@@ -152,25 +143,26 @@ def apply_similarity(a: np.ndarray, rotation: list) -> np.ndarray:
     return a
 
 
-def apply_right(z: np.ndarray, *rotations: list) -> np.ndarray:
-    """In-place update Z <- Z R_1 R_2 ... R_k for plane lists R_i (columns only).
+def apply_right(z: np.ndarray, rotation: list) -> np.ndarray:
+    """In-place update Z <- Z R for the plane list R (columns only).
 
-    Every plane goes to one ``rotate_cols`` call, in order, so Z is bitwise
+    The planes go to one ``rotate_cols`` call, in order.  For a product
+    R_1 R_2 ... R_k, pass the concatenation of their lists: Z is then bitwise
     the same as when the rotations are applied one at a time.
     """
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError("matrix must be square")
-    planes = [plane for rotation in rotations for plane in rotation]
-    if planes:
-        _kernels.rotate_cols(z, planes)
+    if rotation:
+        _kernels.rotate_cols(z, rotation)
     return z
 
 
-def is_structure_preserving(spec: RotationSpec, dim: int) -> float:
+def is_structure_preserving(kind: RotationKind, i: int, j: int, phi: float,
+                            alpha: float, dim: int) -> float:
     """Residual ||R^H S R - S||_F with S = J (symplectic) or S = F (perplectic)."""
     n = _half_dim(dim)
-    r = build_rotation(spec, dim)
-    s = make_J(n) if spec.kind.family == SYMPLECTIC else make_F(dim)
+    r = build_rotation(kind, i, j, phi, alpha, dim)
+    s = make_J(n) if kind.family == SYMPLECTIC else make_F(dim)
     return float(np.linalg.norm(r.conj().T @ s @ r - s))
 
 
@@ -206,12 +198,10 @@ def pivot_set(
     return out
 
 
-def random_spec(
-    kind: RotationKind, i: int, j: int, rng: np.random.Generator
-) -> RotationSpec:
-    """Random angles in the solver domain: phi in (-pi/4, pi/4], alpha in (-pi/2, pi/2]."""
+def random_angles(kind: RotationKind, rng: np.random.Generator) -> tuple[float, float]:
+    """Random angles in the solver domain: phi in (-pi/4, pi/4], free alpha in (-pi/2, pi/2]."""
     phi = (0.5 - rng.random()) * (math.pi / 2)
     alpha = kind.fixed_alpha
     if alpha is None:
         alpha = (0.5 - rng.random()) * math.pi
-    return RotationSpec(kind, i, j, phi, alpha)
+    return phi, alpha

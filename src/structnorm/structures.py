@@ -72,9 +72,9 @@ def make_F(m: int) -> np.ndarray:
 
 
 def _defining_product(a: np.ndarray, tag: StructureTag) -> np.ndarray:
-    m = a.shape[0]
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    m = a.shape[0]
     if tag.family == SYMPLECTIC:
         if m % 2 != 0:
             raise ValueError("Hamiltonian-type structure needs even dimension")
@@ -130,7 +130,7 @@ def frob_norm(a: np.ndarray) -> float:
 
 def diag_norm_sq(a: np.ndarray) -> float:
     """Squared Frobenius norm of the diagonal."""
-    if a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     d = a.diagonal()
     return float(np.vdot(d, d).real)
@@ -143,7 +143,7 @@ def offdiag_norm_sq(a: np.ndarray) -> float:
     weight from the total would lose the result to cancellation once the
     matrix is nearly diagonal.
     """
-    if a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     b = np.array(a, dtype=np.complex128).ravel()  # row-major, as np.vdot sums
     b[::a.shape[0] + 1] = 0.0
@@ -225,9 +225,10 @@ def gen_normal_structured(
     d = structured_diagonal(tag, re + 1j * im)
 
     positions = rotations.pivot_set(tag.family, n)
-    specs = [rotations.random_spec(*positions[rng.integers(len(positions))], rng)
-             for _ in range(n_rot)]
-    u = rotations.apply_right(np.eye(2 * n, dtype=np.complex128),
-                              *(rotations.planes(spec, n) for spec in specs))
+    product = []  # the planes of the n_rot rotations, in order
+    for _ in range(n_rot):
+        kind, i, j = positions[rng.integers(len(positions))]
+        product += rotations.planes(kind, i, j, *rotations.random_angles(kind, rng), n)
+    u = rotations.apply_right(np.eye(2 * n, dtype=np.complex128), product)
     a = u @ d @ u.conj().T
     return a, u, d

@@ -15,15 +15,16 @@ def random_structured_unitary(family, n, rotations=60, seed=0):
     """Product of random structure-preserving rotations; unitary by construction."""
     rng = np.random.default_rng(seed)
     positions = sn.pivot_set(family, n)
-    specs = [sn.random_spec(*positions[rng.integers(len(positions))], rng)
-             for _ in range(rotations)]
-    return sn.apply_right(np.eye(2 * n, dtype=np.complex128),
-                          *(sn.planes(spec, n) for spec in specs))
+    product = []
+    for _ in range(rotations):
+        kind, i, j = positions[rng.integers(len(positions))]
+        product += sn.planes(kind, i, j, *sn.random_angles(kind, rng), n)
+    return sn.apply_right(np.eye(2 * n, dtype=np.complex128), product)
 
 
-def dense_similarity(a, spec):
+def dense_similarity(a, kind, i, j, phi, alpha):
     """Oracle: explicit R^H A R via the full rotation matrix."""
-    r = sn.build_rotation(spec, a.shape[0])
+    r = sn.build_rotation(kind, i, j, phi, alpha, a.shape[0])
     return r.conj().T @ a @ r
 
 

@@ -154,8 +154,8 @@ def test_pivot_gain_formula_against_trace_oracle(tag):
         alpha = kind.fixed_alpha
         if alpha is None:
             alpha = math.atan2(x_piv.imag, x_piv.real) if x_piv != 0 else 0.0
-        rp = sn.build_rotation(sn.RotationSpec(kind, i, j, h, alpha), 2 * n)
-        rm = sn.build_rotation(sn.RotationSpec(kind, i, j, -h, alpha), 2 * n)
+        rp = sn.build_rotation(kind, i, j, h, alpha, 2 * n)
+        rm = sn.build_rotation(kind, i, j, -h, alpha, 2 * n)
         rdot = (rp - rm) / (2 * h)
         want = abs(float(np.real(np.trace(x.conj().T @ rdot))))
         got = sn.pivot_gain(x, kind, i, j)

@@ -347,9 +347,9 @@ def test_planes_run_once_per_applied_pivot(monkeypatch, skip_rule):
     planes = jacobi.planes
     calls = []
 
-    def counted(spec, n):
-        calls.append((spec.kind.value, spec.i, spec.j, spec.phi, spec.alpha))
-        return planes(spec, n)
+    def counted(kind, i, j, phi, alpha, n):
+        calls.append((kind.value, i, j, phi, alpha))
+        return planes(kind, i, j, phi, alpha, n)
 
     monkeypatch.setattr(jacobi, "planes", counted)
     tag = sn.StructureTag.HAMILTONIAN

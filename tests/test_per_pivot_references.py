@@ -51,14 +51,13 @@ def _ref_check_pivot(kind, i, j, n):
         )
 
 
-def _ref_planes(spec, n):
-    kind, i, j = spec.kind, spec.i, spec.j
+def _ref_planes(kind, i, j, phi, free_alpha, n):
     _ref_check_pivot(kind, i, j, n)
     alpha = _ref_fixed_alpha(kind)
     if alpha is None:
-        alpha = spec.alpha
-    c = math.cos(spec.phi)
-    s = complex(math.cos(alpha), math.sin(alpha)) * math.sin(spec.phi)
+        alpha = free_alpha
+    c = math.cos(phi)
+    s = complex(math.cos(alpha), math.sin(alpha)) * math.sin(phi)
     if kind is K.SYMP_SINGLE or kind is K.PERP_SINGLE:
         return [(i - 1, j - 1, c, s)]
     if kind is K.SYMP_DIRECT_SUM:
@@ -76,7 +75,7 @@ def _ref_pivot_gain(x, kind, i, j):
     if alpha is None:
         alpha = math.atan2(x_piv.imag, x_piv.real) if x_piv != 0 else 0.0
     total = 0.0
-    for p, q, _, ds in _ref_planes(sn.RotationSpec(kind, i, j, math.pi / 2, alpha), n):
+    for p, q, _, ds in _ref_planes(kind, i, j, math.pi / 2, alpha, n):
         total += (np.conj(x[p, q]) * (-ds) + np.conj(x[q, p]) * np.conj(ds)).real
     return abs(float(total))
 
@@ -168,15 +167,15 @@ def test_check_pivot_and_planes_match_if_chains(n):
             except ValueError:
                 _raises_same(lambda: _ref_check_pivot(kind, i, j, n),
                              lambda: rotations.check_pivot(kind, i, j, n))
-                spec = sn.RotationSpec(kind, i, j, 0.3, 0.2)
-                _raises_same(lambda: _ref_planes(spec, n),
-                             lambda: rotations.planes(spec, n))
+                spec = kind, i, j, 0.3, 0.2
+                _raises_same(lambda: _ref_planes(*spec, n),
+                             lambda: rotations.planes(*spec, n))
                 continue
             rotations.check_pivot(kind, i, j, n)
             for phi, alpha in angles:
-                spec = sn.RotationSpec(kind, i, j, phi, alpha)
-                assert (_bits(rotations.planes(spec, n))
-                        == _bits(_ref_planes(spec, n)))
+                spec = kind, i, j, phi, alpha
+                assert (_bits(rotations.planes(*spec, n))
+                        == _bits(_ref_planes(*spec, n)))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -311,10 +310,12 @@ def _ref_gen_normal_structured(tag, n, seed):
     im = rng.choice([-1.0, 1.0], n) * (0.5 + np.abs(rng.standard_normal(n)))
     d = _ref_structured_diagonal(tag, re + 1j * im)
     positions = _ref_pivot_set(tag.family, n)
-    specs = [rotations.random_spec(*positions[rng.integers(len(positions))], rng)
-             for _ in range(4 * n * n)]
+    specs = []
+    for _ in range(4 * n * n):
+        kind, i, j = positions[rng.integers(len(positions))]
+        specs.append((kind, i, j, *rotations.random_angles(kind, rng)))
     u = rotations.apply_right(np.eye(2 * n, dtype=np.complex128),
-                              *(rotations.planes(spec, n) for spec in specs))
+                              [pl for spec in specs for pl in rotations.planes(*spec, n)])
     return u @ d @ u.conj().T, u, d
 
 

@@ -85,6 +85,18 @@ def test_check_structure_rejects_nonsquare():
         sn.check_structure(np.zeros((2, 3)), sn.StructureTag.HAMILTONIAN)
 
 
+@pytest.mark.parametrize("check", [
+    lambda a: sn.check_structure(a, sn.StructureTag.HAMILTONIAN),
+    lambda a: sn.check_structure(a, sn.StructureTag.PER_HERMITIAN),
+    sn.diag_norm_sq, sn.offdiag_norm_sq],
+    ids=["check_structure-symplectic", "check_structure-perplectic",
+         "diag_norm_sq", "offdiag_norm_sq"])
+@pytest.mark.parametrize("a", [np.float64(1.0), np.zeros(4)], ids=["0-D", "1-D"])
+def test_scalars_and_vectors_are_not_square(check, a):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        check(a)
+
+
 def test_check_structure_rejects_odd_dimension():
     with pytest.raises(ValueError):
         sn.check_structure(np.zeros((3, 3)), sn.StructureTag.HAMILTONIAN)
@@ -191,7 +203,7 @@ def _gen_normal_one_rotation_at_a_time(tag, n, seed):
     positions = sn.pivot_set(tag.family, n)
     for _ in range(4 * n * n):
         kind, i, j = positions[rng.integers(len(positions))]
-        sn.apply_right(u, sn.planes(sn.random_spec(kind, i, j, rng), n))
+        sn.apply_right(u, sn.planes(kind, i, j, *sn.random_angles(kind, rng), n))
     return u @ d @ u.conj().T, u, d
 
 
