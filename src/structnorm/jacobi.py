@@ -109,8 +109,26 @@ def distance_to(a: np.ndarray, x: np.ndarray) -> float:
     return frob_norm(a - x)
 
 
-def _total_norm_sq(a: np.ndarray) -> float:
-    return float(np.real(np.vdot(a, a)))
+def _check_input(a: np.ndarray, tag: StructureTag | None = None) -> float:
+    """||A||_F^2, once A is found square, of even order, finite, of structure
+    ``tag`` (if given) and with ||A||_F^2 normal or zero, checked in turn."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    if a.shape[0] % 2 != 0:
+        raise ValueError("even dimension required")
+    if not np.isfinite(a).all():
+        raise NonFiniteError("input matrix has non-finite entries")
+    if tag is not None:
+        resid = check_structure(a, tag)
+        if not resid <= 1e-10:
+            raise StructureError(
+                f"input is not {tag.value} (residual {resid:.3e} > 1e-10)")
+    norm_sq = float(np.real(np.vdot(a, a)))
+    if not norm_sq < np.inf:  # inf, or nan from inf - inf
+        raise NonFiniteError("the squared Frobenius norm of the input overflows")
+    if norm_sq < 2.0 ** -1022 and a.any():
+        raise NonFiniteError("the squared Frobenius norm of the input underflows")
+    return norm_sq
 
 
 def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> JacobiState:
@@ -120,7 +138,10 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
     up to date once, when the sweep ends: one ``apply_right`` call with the
     planes of every rotation the sweep applied, in order.  That call also
     runs when the sweep raises, so Z always matches the iterate (it then
-    includes the failing rotation).
+    includes the failing rotation).  An applied pivot proves the iterate
+    finite by one finite sum: its record's two weights with the trace on,
+    else the squares of its touched rows.  Only if neither is finite are
+    those rows checked entrywise; a non-finite entry raises NonFiniteError.
     """
     a, z = state.a, state.z
     n = a.shape[0] // 2
@@ -162,14 +183,20 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
             rotation = planes(kind, i, j, sol.phi, sol.alpha, n)
             apply_similarity(a, rotation)
             applied += rotation
-            rows = [r for p, q, _, _ in rotation for r in (p, q)]
-            if not np.isfinite(a.take(rows, 0)).all():
-                raise NonFiniteError(
-                    f"non-finite entries at sweep {state.sweep + 1}, "
-                    f"step {state.step}, pivot ({i}, {j})")
+            if trace:
+                weights = diag_norm_sq(a), offdiag_norm_sq(a)
+            # finite weights prove every entry finite; failing that, finite
+            # squares prove the touched rows finite; failing that, check them
+            if not (trace and weights[0] + weights[1] < np.inf):
+                touched = a.take([r for p, q, _, _ in rotation for r in (p, q)], 0)
+                if (not np.vdot(touched, touched).real < np.inf
+                        and not np.isfinite(touched).all()):
+                    raise NonFiniteError(
+                        f"non-finite entries at sweep {state.sweep + 1}, "
+                        f"step {state.step}, pivot ({i}, {j})")
             sweep_gain += sol.gain * len(rotation)  # a gain in each plane
             if trace:
-                weights = _record(state, kind, i, j, sol.phi, sol.alpha, False)
+                _record(state, kind, i, j, sol.phi, sol.alpha, False, weights)
     finally:
         apply_right(z, applied)
     state.sweep += 1
@@ -177,9 +204,10 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
     return state
 
 
-def _record(state, kind, i, j, phi, alpha, skipped, weights=None):
-    """Append a trace record; return its (diag, offdiag) weights, which are
-    ``weights`` if given (``state.a`` unchanged since they were taken)."""
+def _record(state, kind, i, j, phi, alpha, skipped, weights):
+    """Append a trace record; return its (diag, offdiag) weights: ``weights``
+    (an applied pivot's finiteness proof, or a skipped pivot's last record;
+    ``state.a`` unchanged since), taken here when None."""
     if weights is None:
         weights = diag_norm_sq(state.a), offdiag_norm_sq(state.a)
     state.trace.append(TraceRecord(
@@ -197,10 +225,7 @@ def iterate(a: np.ndarray, tag: StructureTag,
     the loop to stop early), each updating the one yielded state in place.
     """
     a = np.array(a, dtype=np.complex128, order="C")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if a.shape[0] % 2 != 0:
-        raise ValueError("even dimension required")
+    _check_input(a)
     state = JacobiState(a=a, z=np.eye(len(a), dtype=np.complex128))
     return (sweep_once(state, tag, config) for _ in range(config.max_sweeps))
 
@@ -211,22 +236,9 @@ def solve(a: np.ndarray, tag: StructureTag,
     if config is None:
         config = SolverConfig()
     a0 = np.asarray(a, dtype=np.complex128)
-    states = iterate(a0, tag, config)  # checks the shape; sweeps when looped
-    if not np.isfinite(a0).all():
-        raise NonFiniteError("input matrix has non-finite entries")
-    resid = check_structure(a0, tag)
-    if not resid <= 1e-10:
-        raise StructureError(
-            f"input is not {tag.value} (residual {resid:.3e} > 1e-10)")
-    norm_sq = _total_norm_sq(a0)
-    if not norm_sq < np.inf:  # inf, or nan from inf - inf
-        raise NonFiniteError("the squared Frobenius norm of the input overflows")
-    if norm_sq < 2.0 ** -1022 and a0.any():
-        raise NonFiniteError("the squared Frobenius norm of the input underflows")
-
-    stop = config.tol * norm_sq
+    stop = config.tol * _check_input(a0, tag)
     converged = False
-    for state in states:
+    for state in iterate(a0, tag, config):  # checks a0 again, all but structure
         if state.sweep_gain <= stop:
             converged = True
             break

@@ -49,6 +49,36 @@ def test_iterate_rejects_what_solve_rejects_when_called():
         sn.iterate(np.ones((3, 3)), tag, config)
     with pytest.raises(ValueError, match="matrix must be square"):
         sn.iterate(np.ones((2, 4)), tag, config)
+    # a bad input is named as such, not blamed on the first pivot it reaches
+    a = sn.gen_structured(tag, 3, 1)
+    a[0, 2] = np.nan
+    with pytest.raises(sn.NonFiniteError,
+                       match="^input matrix has non-finite entries$"):
+        sn.iterate(a, tag, config)
+    # finite entries whose squared norm overflows (the angle solve's
+    # OverflowError otherwise)
+    big = sn.gen_structured(tag, 3, 6775) * 2.0 ** 516
+    assert np.isfinite(big).all()
+    with pytest.raises(sn.NonFiniteError,
+                       match="^the squared Frobenius norm of the input overflows$"):
+        sn.iterate(big, tag, config)
+
+
+def test_solve_checks_shape_finite_structure_then_norm_range():
+    # each input fails two checks; the earlier check in the order names it
+    tag = sn.StructureTag.HAMILTONIAN
+    rng = np.random.default_rng(2)
+    unstructured = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    with pytest.raises(ValueError, match="matrix must be square"):
+        sn.solve(np.full((2, 4), np.nan), tag)
+    with pytest.raises(ValueError, match="even dimension required"):
+        sn.solve(np.full((3, 3), np.nan), tag)
+    bad = unstructured.copy()
+    bad[0, 0] = np.inf
+    with pytest.raises(sn.NonFiniteError, match="non-finite entries"):
+        sn.solve(bad, tag)
+    with pytest.raises(sn.StructureError, match="input is not hamiltonian"):
+        sn.solve(unstructured * 2.0 ** 520, tag)
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -93,10 +123,18 @@ def test_solve_rejects_non_finite():
         sn.solve(a, sn.StructureTag.HAMILTONIAN)
 
 
+POISONS = [np.nan, np.inf, complex(0, -np.inf)]
+
+
+@pytest.mark.parametrize("poison", POISONS, ids=str)
+@pytest.mark.parametrize("trace", [True, False])
 @pytest.mark.parametrize("plane", [0, -1])
-def test_non_finite_iterate_names_sweep_step_and_pivot(monkeypatch, plane):
-    # a nan written into a touched row (of the first plane, or of the mirror
-    # plane of a double rotation) stops the sweep at that pivot
+def test_non_finite_iterate_names_sweep_step_and_pivot(monkeypatch, plane,
+                                                       trace, poison):
+    # a non-finite entry written into a touched row (of the first plane, or
+    # of the mirror plane of a double rotation) stops the sweep at that
+    # pivot, whether the trace's weights or the touched rows' squares prove
+    # the iterate finite
     tag = sn.StructureTag.PER_HERMITIAN
     n = 3
     a = sn.gen_structured(tag, n, 4)
@@ -108,12 +146,12 @@ def test_non_finite_iterate_names_sweep_step_and_pivot(monkeypatch, plane):
         if not first:
             first.append(rotation)
             row = rotation[plane][1]
-            m[row, 0] = np.nan
+            m[row, 0] = poison
         return m
 
     monkeypatch.setattr(jacobi, "apply_similarity", poisoned)
     with pytest.raises(sn.NonFiniteError) as info:
-        sn.solve(a, tag)
+        sn.solve(a, tag, sn.SolverConfig(trace=trace))
     # the first plane of a rotation lies at its pivot (i, j), 0-based
     i, j = first[0][0][0] + 1, first[0][0][1] + 1
     step = [(pi, pj) for _, pi, pj in sn.pivot_set(tag.family, n)].index((i, j)) + 1
@@ -121,13 +159,17 @@ def test_non_finite_iterate_names_sweep_step_and_pivot(monkeypatch, plane):
                                f"pivot ({i}, {j})")
 
 
+@pytest.mark.parametrize("poison", POISONS, ids=str)
+@pytest.mark.parametrize("trace", [True, False])
 @pytest.mark.parametrize("tag", TAGS)
-def test_sweep_that_raises_still_brings_z_up_to_date(monkeypatch, tag):
+def test_sweep_that_raises_still_brings_z_up_to_date(monkeypatch, tag, trace,
+                                                     poison):
     # Z is updated once, as the sweep ends; a sweep stopped by a non-finite
     # iterate must still leave Z equal, bit for bit, to the rotations it
     # applied (the failing one included), taken one at a time
     n = 3
-    states = sn.iterate(sn.gen_structured(tag, n, 5), tag, sn.SolverConfig())
+    states = sn.iterate(sn.gen_structured(tag, n, 5), tag,
+                        sn.SolverConfig(trace=trace))
     state = next(states)
     want = state.z.copy()
     original = jacobi.apply_similarity
@@ -137,7 +179,7 @@ def test_sweep_that_raises_still_brings_z_up_to_date(monkeypatch, tag):
         original(m, rotation)
         applied.append(rotation)
         if len(applied) == 5:
-            m[rotation[0][0], 0] = np.nan
+            m[rotation[0][0], 0] = poison
         return m
 
     monkeypatch.setattr(jacobi, "apply_similarity", poisoned)
@@ -147,6 +189,59 @@ def test_sweep_that_raises_still_brings_z_up_to_date(monkeypatch, tag):
     for rotation in applied:
         sn.apply_right(want, rotation)
     assert state.z.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("weight", [np.inf, np.nan])
+@pytest.mark.parametrize("rows_sum", ["finite", "inf"])
+def test_sums_that_are_not_finite_fall_back_to_the_entrywise_check(
+        monkeypatch, weight, rows_sum):
+    # weights that are not finite send the touched rows on to their sum of
+    # squares, and a sum that is not finite to the entrywise check; on finite
+    # rows the sweep goes on and computes the same bits
+    tag = sn.StructureTag.PER_HERMITIAN
+    a = sn.gen_structured(tag, 3, 6)
+    config = sn.SolverConfig()
+    want = next(sn.iterate(a, tag, config))
+    states = sn.iterate(a, tag, config)  # checks the input, unpatched
+    checked = []
+    isfinite = np.isfinite
+
+    def counted(x):
+        checked.append(np.shape(x))
+        return isfinite(x)
+
+    monkeypatch.setattr(jacobi, "offdiag_norm_sq", lambda m: weight)
+    if rows_sum == "inf":
+        monkeypatch.setattr(np, "vdot", lambda x, y: complex(np.inf, 0.0))
+    monkeypatch.setattr(np, "isfinite", counted)
+    state = next(states)
+    monkeypatch.undo()
+    applied = sum(not r.skipped for r in state.trace)
+    assert applied > 0
+    assert len(checked) == (applied if rows_sum == "inf" else 0)
+    assert state.a.tobytes() == want.a.tobytes()
+    assert state.z.tobytes() == want.z.tobytes()
+    assert state.sweep_gain == want.sweep_gain
+
+
+@settings(max_examples=40, deadline=None)
+@given(tag=st.sampled_from(TAGS), n=st.integers(min_value=1, max_value=4),
+       seed=st.integers(min_value=0, max_value=10_000),
+       ordering=st.sampled_from(["O1", "O2"]), skip_rule=st.booleans())
+def test_the_trace_does_not_change_the_computation(tag, n, seed, ordering,
+                                                   skip_rule):
+    # the trace proves the iterate finite by other sums than its absence
+    # does; every sweep must still compute the same bits
+    a = sn.gen_structured(tag, n, seed)
+    on, off = (sn.iterate(a, tag, sn.SolverConfig(
+        ordering=ordering, skip_rule=skip_rule, max_sweeps=4, trace=trace))
+        for trace in (True, False))
+    for traced, plain in zip(on, off):
+        assert traced.sweep == plain.sweep
+        assert traced.a.tobytes() == plain.a.tobytes()
+        assert traced.z.tobytes() == plain.z.tobytes()
+        assert traced.sweep_gain == plain.sweep_gain
+        assert len(traced.trace) == traced.step and plain.trace == []
 
 
 @settings(max_examples=30, deadline=None)
