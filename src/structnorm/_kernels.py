@@ -17,15 +17,17 @@ conj(s); ``rotate_cols`` is the column call alone.  Both go through
 then pins the matrix once for all the calls.  The routine is
 ``scipy_zrot_64_`` of the ILP64 OpenBLAS that numpy bundles, found through
 ctypes on the handle of ``numpy.linalg._umath_linalg`` (dlsym also searches
-the libraries it loaded), so scipy is never imported.  Without it
-``BACKEND`` is ``"numpy"`` and the kernels are ``numpy_plane_similarity``
-and ``numpy_rotate_cols``.  A list the raw pointers cannot serve safely (not
-a writable, C-contiguous, square complex128 matrix, or a plane whose p, q
-are not distinct in-range integers or whose c is not real) takes the numpy
-kernel whole, with its results and errors.  Each call builds its own
-arguments and holds the GIL, so threads may solve at once.  zrot rounds a
-few entries differently from numpy and OpenBLAS picks its code per CPU, so
-bits are reproducible on one machine, not across CPU families.
+the libraries it loaded), so scipy is never imported.  Each call picks its
+path when it runs: ``_zrot_planes`` serves it where ``_zrot`` was found
+(``BACKEND`` is ``"openblas-zrot"``), and otherwise ``numpy_plane_similarity``
+or ``numpy_rotate_cols`` does, on one numpy body, ``_rotate_cols``: rows p, q
+of A with s are columns p, q of A^T with conj(s).  A list the raw pointers
+cannot serve safely (not a writable, C-contiguous, square complex128 matrix,
+or a plane whose p, q are not distinct in-range integers or whose c is not
+real) takes the numpy kernel whole, with its results and errors.  Each call
+builds its own arguments and holds the GIL, so threads may solve at once.
+zrot rounds a few entries differently from numpy and OpenBLAS picks its code
+per CPU, so bits are reproducible on one machine, not across CPU families.
 
 ``rotations`` reads ``plane_similarity`` and ``rotate_cols`` as module
 attributes at call time; neither similarity kernel calls the attribute
@@ -41,19 +43,9 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 
-# Each new row or column is built in place as c*x_p + s*x_q (and its mate),
+# Each new column is built in place as c*x_p + conj(s)*x_q (and its mate),
 # with the scalar on the left: the same operands in the same order as the
 # one-line expression, so the result is bitwise the same.
-
-def rotate_rows(a, p, q, c, s):
-    xp, xq = a[p], a[q]
-    rp = c * xp
-    rp += s * xq
-    rq = -s.conjugate() * xp
-    rq += c * xq
-    xp[...] = rp
-    xq[...] = rq
-
 
 def _rotate_cols(a, p, q, c, s):
     # p, q, c, s are scalars for one plane, or equal-length arrays for planes
@@ -89,9 +81,10 @@ def numpy_rotate_cols(a, planes):
 
 
 def numpy_plane_similarity(a, planes):
-    """A <- G_k^H ... G_1^H A G_1 ... G_k, rows then columns plane by plane."""
+    """A <- G_k^H ... G_1^H A G_1 ... G_k, rows then columns plane by plane;
+    rows p, q with s are columns p, q of A^T with conj(s)."""
     for p, q, c, s in planes:
-        rotate_rows(a, p, q, c, s)
+        _rotate_cols(a.T, p, q, c, s.conjugate())
         _rotate_cols(a, p, q, c, s)
 
 
@@ -118,7 +111,9 @@ _ONE = _int64(1)
 def _zrot_planes(a, planes, rows):
     """Apply the planes by zrot, the row call (if rows) then the column call
     of each in order; False, having written nothing, where the raw pointers
-    cannot serve every plane."""
+    cannot serve every plane, or zrot was not found."""
+    if _zrot is None:
+        return False
     args = []  # per plane: p, q, and packed c, s (if rows) and conj(s)
     try:  # every plane is checked before the first is applied
         if a.dtype != _COMPLEX128 or a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -142,16 +137,14 @@ def _zrot_planes(a, planes, rows):
     return True
 
 
-def _zrot_plane_similarity(a, planes):
+def plane_similarity(a, planes):
     if not _zrot_planes(a, planes, rows=True):
         numpy_plane_similarity(a, planes)
 
 
-def _zrot_rotate_cols(a, planes):
+def rotate_cols(a, planes):
     if not _zrot_planes(a, planes, rows=False):
         numpy_rotate_cols(a, planes)
 
 
 BACKEND = "numpy" if _zrot is None else "openblas-zrot"
-plane_similarity = numpy_plane_similarity if _zrot is None else _zrot_plane_similarity
-rotate_cols = numpy_rotate_cols if _zrot is None else _zrot_rotate_cols

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import jacobi
 from .matrixio import read_matrix, write_matrix
-from .structures import (StructureTag, _ldexp, check_structure, diag_norm_sq,
+from .structures import (StructureTag, _normalized, check_structure, diag_norm_sq,
                          frob_norm, gen_normal_structured, gen_structured,
                          offdiag_norm_sq)
 
@@ -102,7 +102,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    print(_fmt(jacobi.distance_to(read_matrix(args.a), read_matrix(args.b))))
+    distance = jacobi.distance_to(read_matrix(args.a), read_matrix(args.b))
+    if distance == math.inf:
+        raise ValueError("the distance overflows")
+    print(_fmt(distance))
     return 0
 
 
@@ -115,17 +118,13 @@ def cmd_normality(args) -> int:
 
 
 def _commutator_norm(x: np.ndarray) -> float:
-    """||X X^H - X^H X||_F.  The products can overflow where X does not; the
-    residual is then recomputed on X * 2**-e and scaled back by 2**(2e)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # rescued below
-        resid = frob_norm(x @ x.conj().T - x.conj().T @ x)
-    if not math.isfinite(resid):  # X is finite: read_matrix admits nothing else
-        _, e = math.frexp(float(np.abs(x).max()))
-        try:
-            resid = math.ldexp(_commutator_norm(_ldexp(x, -e)), 2 * e)
-        except OverflowError:
-            raise ValueError("the commutator residual overflows") from None
-    return resid
+    """||X X^H - X^H X||_F, taken on X normalized by ``_normalized`` and
+    scaled back by 2**(2e)."""
+    x, e = _normalized(x)
+    try:
+        return math.ldexp(frob_norm(x @ x.conj().T - x.conj().T @ x), 2 * e)
+    except OverflowError:
+        raise ValueError("the commutator residual overflows") from None
 
 
 def _iterates(a, tag, sweeps, ordering="O1"):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rotations import RotationKind, check_pivot
-from .structures import SYMPLECTIC, _ldexp, frob_norm, make_F, make_J
+from .structures import SYMPLECTIC, _ldexp, _normalized, frob_norm, make_F, make_J
 
 
 @dataclass(frozen=True)
@@ -56,17 +56,15 @@ def project_tangent(y: np.ndarray, family: str) -> np.ndarray:
 def _gradient(m: np.ndarray, family: str):
     """(Y, X, ||X||_F) at the similarity iterate M = Z^H A Z.
 
-    Y is quadratic in M, so it can overflow where M does not; X is then
-    recomputed from M * 2**-e and scaled back by 2**(2e), and Y keeps its
-    overflow.  Other values keep their bits.
+    Y and X are quadratic in M, so both are taken on M normalized by
+    ``_normalized`` and scaled back by 2**(2e).
     """
+    m, e = _normalized(m)
     d = np.diagonal(m)
-    with np.errstate(over="ignore", invalid="ignore"):  # rescued below
-        y = 2.0 * m * d.conj()[None, :] + 2.0 * m.conj().T * d[None, :]
-        x = project_tangent(y, family)
-    if not np.isfinite(x).all() and np.isfinite(m).all():
-        _, e = math.frexp(float(np.abs(m).max()))
-        x = _ldexp(_gradient(_ldexp(m, -e), family)[1], 2 * e)
+    y = 2.0 * m * d.conj()[None, :] + 2.0 * m.conj().T * d[None, :]
+    x = _ldexp(project_tangent(y, family), 2 * e)
+    with np.errstate(over="ignore"):  # Y keeps an overflow as inf
+        y = _ldexp(y, 2 * e)
     return y, x, frob_norm(x)
 
 

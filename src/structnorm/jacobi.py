@@ -106,7 +106,8 @@ def distance_to(a: np.ndarray, x: np.ndarray) -> float:
     x = np.asarray(x)
     if a.shape != x.shape:
         raise ValueError("shape mismatch")
-    return frob_norm(a - x)
+    with np.errstate(over="ignore"):  # inf: beyond the largest double
+        return frob_norm(a - x)
 
 
 def _check_input(a: np.ndarray, tag: StructureTag | None = None) -> float:

@@ -87,45 +87,46 @@ def _defining_product(a: np.ndarray, tag: StructureTag) -> np.ndarray:
     return a[::-1, :]  # F @ a
 
 
-def check_structure(a: np.ndarray, tag: StructureTag) -> float:
-    """Relative residual of the defining identity, ||S - sigma*S^H||_F / ||A||_F.
-
-    Zero means the structure holds exactly (the zero matrix gives 0.0); the
-    caller picks the tolerance.  The quotient does not change when A is
-    scaled by a power of two.  When a norm overflows, or ||A||_F < 2^-480
-    (where squares of entries start to underflow), A is first scaled by a
-    power of two that brings its largest part into [1, 2).
-    """
-    a = np.asarray(a)
-    s = _defining_product(a, tag)
-    with np.errstate(over="ignore"):  # an overflow is handled below
-        resid, norm = np.linalg.norm(s - tag.sign * s.conj().T), np.linalg.norm(a)
-    finite = math.isfinite(resid) and math.isfinite(norm)
-    if (not finite or norm < 2.0 ** -480) and np.isfinite(a).all():
-        big = max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0))
-        if big == 0.0:
-            return 0.0
-        _, e = math.frexp(big)  # 2^1023 is the largest power of two
-        return check_structure(a * math.ldexp(1.0, min(1 - e, 1023)), tag)
-    return float(resid / norm)
-
-
 def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
     """X * 2**e, part by part: 2**e alone may overflow."""
     x = np.ascontiguousarray(x, dtype=np.complex128)
     return np.ldexp(x.view(np.float64), e).view(np.complex128)
 
 
+def _normalized(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(A * 2**-e, e): the one rule for homogeneous quantities at extreme scales.
+
+    e = 0 unless A is finite and nonzero with its largest real or imaginary
+    part outside [2^-200, 2^200]; then 2**-e brings that part into [0.5, 1).
+    A quantity of degree d in A is its value on the result times 2**(d*e).
+    """
+    parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    big = float(np.abs(parts).max(initial=0.0))
+    if 2.0 ** -200 <= big <= 2.0 ** 200 or not 0.0 < big < math.inf:
+        return a, 0
+    e = math.frexp(big)[1]
+    return _ldexp(a, -e), e
+
+
+def check_structure(a: np.ndarray, tag: StructureTag) -> float:
+    """Relative residual of the defining identity, ||S - sigma*S^H||_F / ||A||_F.
+
+    Zero means the structure holds exactly (the zero matrix gives 0.0); the
+    caller picks the tolerance.  Taken on A normalized by ``_normalized``, so
+    it does not change when A is scaled by a power of two.
+    """
+    a, _ = _normalized(np.asarray(a))
+    s = _defining_product(a, tag)
+    norm = np.linalg.norm(a)
+    return float(np.linalg.norm(s - tag.sign * s.conj().T) / norm) if norm else 0.0
+
+
 def frob_norm(a: np.ndarray) -> float:
-    """||A||_F, recomputed on A scaled by a power of two when the sum of
-    squares overflows or leaves the normal range (np.linalg.norm does not
-    scale); other values keep the bits of np.linalg.norm."""
-    with np.errstate(over="ignore"):  # rescued below, or the norm is inf
-        norm = float(np.linalg.norm(a))
-        if not 2.0 ** -480 <= norm < math.inf and np.isfinite(a).all() and np.any(a):
-            _, e = math.frexp(float(np.abs(a).max()))
-            norm = float(np.ldexp(np.linalg.norm(_ldexp(a, -e)), e))
-    return norm
+    """||A||_F on A normalized by ``_normalized``, or inf beyond the largest
+    double; the bits of np.linalg.norm where its sum of squares is normal."""
+    a, e = _normalized(a)
+    with np.errstate(over="ignore"):  # inf: beyond the largest double
+        return float(np.ldexp(np.linalg.norm(a), e))
 
 
 def diag_norm_sq(a: np.ndarray) -> float:

@@ -291,7 +291,7 @@ def test_normality_on_unitary(tmp_path):
     assert float(proc.stdout.strip()) == 0.0
 
 
-@pytest.mark.parametrize("k", [600, -600])
+@pytest.mark.parametrize("k", [600, -600, 201, -201, 199, -199])
 def test_distance_is_exact_where_the_sum_of_squares_leaves_the_range(
         tmp_path, capsys, k):
     # the distance is representable; its square is not
@@ -301,6 +301,21 @@ def test_distance_is_exact_where_the_sum_of_squares_leaves_the_range(
     sn.write_matrix(pz, np.zeros_like(a))
     assert main(["distance", "--a", str(pa), "--b", str(pz)]) == 0
     assert float(capsys.readouterr().out) == math.ldexp(np.linalg.norm(a), k)
+
+
+@pytest.mark.parametrize("k", [-400, -201, -199, 199, 201, 400])
+def test_normality_of_a_scaled_matrix_is_the_scaled_residual(tmp_path, capsys, k):
+    # the commutator residual is quadratic: at 2^k it is 2^(2k) times the
+    # unscaled one, bit for bit, inside and outside the window of _normalized
+    a = sn.gen_structured(sn.StructureTag.HAMILTONIAN, 3, 0)
+    resid = []
+    for scale in (0, k):
+        path = tmp_path / f"x{scale}.mat"
+        sn.write_matrix(path, np.ldexp(a.view(float), scale).view(complex))
+        assert main(["normality", "--in", str(path)]) == 0
+        resid.append(float(capsys.readouterr().out))
+    assert resid[0] > 0.1
+    assert resid[1] == math.ldexp(resid[0], 2 * k)
 
 
 def test_normality_of_a_scaled_solve_is_the_scaled_residual(tmp_path, capsys):
@@ -320,12 +335,21 @@ def test_normality_of_a_scaled_solve_is_the_scaled_residual(tmp_path, capsys):
     assert resid[1] == math.ldexp(resid[0], 1000)
 
 
-def test_normality_beyond_the_largest_double_exits_2(tmp_path, capsys):
-    path = tmp_path / "x.mat"
-    sn.write_matrix(path, np.array([[0, 2.0 ** 1000], [0, 0]], dtype=complex))
-    assert main(["normality", "--in", str(path)]) == 2
+@pytest.mark.parametrize("argv, files, message", [
+    (["normality", "--in", "x.mat"], {"x.mat": [[0, 2.0 ** 1000], [0, 0]]},
+     "the commutator residual overflows"),
+    (["distance", "--a", "x.mat", "--b", "y.mat"],
+     {"x.mat": [[1e308] * 2] * 2, "y.mat": [[-1e308] * 2] * 2},
+     "the distance overflows")], ids=["normality", "distance"])
+def test_normality_beyond_the_largest_double_exits_2(tmp_path, capsys, argv,
+                                                     files, message):
+    # finite files whose result no double can hold: one error line, no output
+    for name, entries in files.items():
+        sn.write_matrix(tmp_path / name, np.array(entries, dtype=complex))
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+    assert main(argv) == 2
     out = capsys.readouterr()
-    assert out.out == "" and "commutator residual overflows" in out.err
+    assert out.out == "" and out.err == f"error: {message}\n"
 
 
 def _parse_summary(stdout):

@@ -1,6 +1,7 @@
 """tools/compare_outputs.py is the bitwise gate of output-preserving changes:
 it must pass a tree against itself and catch a one-ulp change in a kernel."""
 import importlib.util
+import re
 import shutil
 import subprocess
 import sys
@@ -39,7 +40,39 @@ def test_tree_against_itself_has_no_differences():
         ["wc", "-l", *map(str, (ROOT / "src" / "structnorm").rglob("*.py"))],
         capture_output=True, text=True, check=True)
     total = wc.stdout.splitlines()[-1].split()[0]
-    assert run.stdout.splitlines()[-2] == f"src/structnorm: {total} -> {total} lines"
+    assert re.fullmatch(rf"src/structnorm: {total} -> {total} lines, "
+                        r"(\d+) -> \1 code lines", run.stdout.splitlines()[-2])
+
+
+_EVERY_KIND_OF_LINE = b'''"""A module docstring
+over two lines."""
+import os  # a comment after code
+
+# a comment alone
+
+
+class Shape:
+    """A class docstring."""
+
+    def area(self):
+        """A function docstring."""
+        text = """a string that is
+not a docstring"""
+        return len(text) + len(
+            os.sep)  # a statement over two lines
+
+
+async def run():
+    "A one-line docstring."
+    return 1
+'''
+
+
+def test_code_lines_leave_out_blank_comment_and_docstring_lines():
+    tool = _load_tool()
+    # import, class, def area, text (two lines), return (two lines),
+    # async def, return
+    assert tool.count_code_lines(_EVERY_KIND_OF_LINE) == 9
 
 
 def test_one_ulp_in_rotate_cols_is_caught(tmp_path):
@@ -52,6 +85,13 @@ def test_one_ulp_in_rotate_cols_is_caught(tmp_path):
     assert "DIFF" in run.stdout
 
 
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def _record(op, sha, problems=()):
     return {"workload": "w", "seed": 1, "op": op, "sha256": sha,
             "problems": list(problems)}
@@ -59,20 +99,18 @@ def _record(op, sha, problems=()):
 
 def test_summary_counts_the_failed_operations_of_each_tree(monkeypatch, capsys):
     # a change that moves bits on purpose is judged by the failure counts
-    spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _load_tool()
     runs = {"A": [_record("x", "1"), _record("y", "2", ["bad"]),
                   _record("z", "3")],
             "B": [_record("x", "4", ["bad", "worse"]), _record("y", "5", ["bad"]),
                   _record("z", "3", ["new"])]}
     monkeypatch.setattr(tool, "_spawn", lambda tree, seeds: None)
     monkeypatch.setattr(tool, "_collect", lambda tree, proc: runs[tree.name])
-    counts = {"A": 1632, "B": 1605}
+    counts = {"A": (1632, 990), "B": (1605, 972)}
     monkeypatch.setattr(tool, "count_lines", lambda tree: counts[tree.name])
     assert tool.main(["A", "B"]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[-2] == "src/structnorm: 1632 -> 1605 lines"
+    assert out[-2] == "src/structnorm: 1632 -> 1605 lines, 990 -> 972 code lines"
     assert out[-1] == "3 operations, 3 differ, 1 failed on A, 3 failed on B"
     runs["B"] = runs["A"]
     assert tool.main(["A", "B"]) == 0

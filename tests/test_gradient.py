@@ -113,6 +113,20 @@ def test_tangent_gradient_matches_grad_f():
     assert gn == res.grad_norm
 
 
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("k", [-400, -201, -199, 199, 201, 400])
+def test_tangent_gradient_is_quadratic_bit_for_bit(tag, k):
+    # X and ||X||_F at M 2^k are 2^(2k) times those at M, inside and outside
+    # the window of _normalized
+    m = sn.gen_structured(tag, 3, 7)
+    x, grad_norm = sn.tangent_gradient(m, tag.family)
+    x_k, grad_norm_k = sn.tangent_gradient(np.ldexp(m.view(float), k).view(complex),
+                                           tag.family)
+    assert grad_norm > 0.1
+    assert x_k.tobytes() == np.ldexp(x.view(float), 2 * k).view(complex).tobytes()
+    assert grad_norm_k == math.ldexp(grad_norm, 2 * k)
+
+
 def test_pivot_gain_zero_gradient():
     x = np.zeros((8, 8), dtype=complex)
     for kind, i, j in sn.pivot_set(sn.SYMPLECTIC, 4):

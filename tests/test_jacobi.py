@@ -18,6 +18,9 @@ def test_distance_to_basic():
     assert sn.distance_to(a, a + e) == pytest.approx(np.linalg.norm(e), rel=1e-14)
     with pytest.raises(ValueError):
         sn.distance_to(a, np.zeros((3, 3)))
+    # beyond the largest double: inf, and no overflow warning
+    big = np.full((2, 2), 1e308 + 0j)
+    assert sn.distance_to(big, -big) == math.inf
 
 
 def test_config_validation():

@@ -43,12 +43,13 @@ def test_check_structure_known_cases():
 @pytest.mark.parametrize("tag", TAGS)
 def test_check_structure_is_scale_invariant_past_norm_overflow(tag):
     # ||A||_F overflows from entries of about 2^512 on; the residual of A
-    # scaled by a power of two must still be the unscaled one, not nan
+    # scaled by a power of two must still be the unscaled one, not nan, also
+    # just inside and just outside the window [2^-200, 2^200] of _normalized
     broken = sn.gen_structured(tag, 2, 5)
     broken[0, 1] += 1.0
     for a in (sn.gen_structured(tag, 2, 5), broken):
         want = sn.check_structure(a, tag)
-        for k in (0, 520, 600, 1000):
+        for k in (0, -201, -199, 199, 201, 520, 600, 1000):
             assert sn.check_structure(a * 2.0 ** k, tag) == want
     assert sn.check_structure(broken * 2.0 ** 600, tag) > 0.1
 

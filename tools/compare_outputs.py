@@ -12,22 +12,26 @@ sha256 and printed with the checks it failed.  The last line sums this up as
 ``N operations, D differ, F_A failed on A, F_B failed on B``, where F_A and
 F_B count the operations of each tree that failed at least one check: a
 change that moves output bits on purpose is judged by those two counts, not
-by D.  The line before it, ``src/structnorm: A -> B lines``, gives each
-tree's count of lines in ``src/structnorm/**/*.py`` (as ``wc -l`` counts
-them), the size that a change which simplifies should bring down.  The exit
-status is 0 when both trees give the same hashes and the
-same failed checks for every operation, 1 when any differ, and 2 when a tree
-cannot be run.
+by D.  The line before it, ``src/structnorm: A -> B lines, C -> D code
+lines``, gives each tree's count of lines in ``src/structnorm/**/*.py`` (as
+``wc -l`` counts them) and of its code lines (neither blank nor only a
+comment nor part of a docstring), the size that a change which simplifies
+should bring down.  The exit status is 0 when both trees give the same
+hashes and the same failed checks for every operation, 1 when any differ,
+and 2 when a tree cannot be run.
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -42,10 +46,32 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def count_lines(tree: Path) -> int:
-    """Newlines in the tree's ``src/structnorm/**/*.py``, as ``wc -l`` counts."""
-    return sum(path.read_bytes().count(b"\n")
-               for path in (tree / "src" / "structnorm").rglob("*.py"))
+# tokens that hold no code
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def count_code_lines(source: bytes) -> int:
+    """Lines of ``source`` that hold code: not blank, not only a comment, and
+    not part of a docstring."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {(node.body[0].lineno, node.body[0].col_offset)  # where each starts
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, owners) and ast.get_docstring(node) is not None}
+    lines = set()
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type not in _LAYOUT and tok.start not in docstrings:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def count_lines(tree: Path) -> tuple[int, int]:
+    """Newlines in the tree's ``src/structnorm/**/*.py``, as ``wc -l`` counts,
+    and code lines."""
+    sources = [path.read_bytes()
+               for path in (tree / "src" / "structnorm").rglob("*.py")]
+    return (sum(source.count(b"\n") for source in sources),
+            sum(map(count_code_lines, sources)))
 
 
 def run_tree(tree: Path, seeds: list[int]) -> list[dict]:
@@ -128,8 +154,9 @@ def main(argv=None) -> int:
         print(f"operation counts differ: {len(runs[0])} and {len(runs[1])}")
         differ += 1
     failed = [sum(bool(rec["problems"]) for rec in run) for run in runs]
-    lines = [count_lines(tree) for tree in args.trees]
-    print(f"src/structnorm: {lines[0]} -> {lines[1]} lines")
+    (lines_a, code_a), (lines_b, code_b) = map(count_lines, args.trees)
+    print(f"src/structnorm: {lines_a} -> {lines_b} lines, "
+          f"{code_a} -> {code_b} code lines")
     print(f"{len(runs[0])} operations, {differ} differ, "
           f"{failed[0]} failed on A, {failed[1]} failed on B")
     return 1 if differ else 0
