@@ -31,7 +31,7 @@ alpha is passed next to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -41,13 +41,9 @@ _HALF_PI = math.pi / 2
 _SCALE_LO, _SCALE_HI = 2.0 ** -32, 2.0 ** 32
 
 
-@dataclass(frozen=True)
-class AngleSolution:
-    phi: float
-    alpha: float
-    g_value: float
-    gain: float  # g_value - g(0, 0), at full relative accuracy
-    case: str  # trivial | cubic | fixed_1d
+# gain is g_value - g(0, 0), at full relative accuracy; case is one of
+# trivial, cubic and fixed_1d
+AngleSolution = namedtuple("AngleSolution", "phi alpha g_value gain case")
 
 
 def _parts(entries):

@@ -83,13 +83,11 @@ def cmd_solve(args) -> int:
 
 
 def _write_trace(path, records) -> None:
-    row = "%d,%d,%s,%d,%d,%.17g,%.17g,%.17g,%.17g,%d\n"
+    row = "%d,%d,%s,%d,%d,%.17g,%.17g,%.17g,%.17g,%d\n"  # one per field
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("sweep,step,kind,i,j,phi,alpha,diag_norm_sq,offdiag_norm_sq,"
-                 "skipped\n")
+        fh.write(",".join(jacobi.TraceRecord._fields) + "\n")
         for r in records:
-            fh.write(row % (r.sweep, r.step, r.kind, r.i, r.j, r.phi, r.alpha,
-                            r.diag_norm_sq, r.offdiag_norm_sq, r.skipped))
+            fh.write(row % r)
 
 
 def cmd_verify(args) -> int:

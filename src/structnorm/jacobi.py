@@ -16,6 +16,7 @@ structured normal matrix is assembled as
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -58,18 +59,10 @@ class SolverConfig:
             raise ValueError(f"unknown ordering: {self.ordering!r}")
 
 
-@dataclass
-class TraceRecord:
-    sweep: int
-    step: int
-    kind: str
-    i: int
-    j: int
-    phi: float
-    alpha: float
-    diag_norm_sq: float
-    offdiag_norm_sq: float
-    skipped: bool
+# one pivot visit: where it falls, its angles, the iterate's two weights
+# after it, and whether its rotation was skipped
+TraceRecord = namedtuple("TraceRecord", "sweep step kind i j phi alpha "
+                         "diag_norm_sq offdiag_norm_sq skipped")
 
 
 @dataclass
@@ -138,11 +131,11 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
     The iterate ``state.a`` is rotated pivot by pivot.  ``state.z`` is brought
     up to date once, when the sweep ends: one ``apply_right`` call with the
     planes of every rotation the sweep applied, in order.  That call also
-    runs when the sweep raises, so Z always matches the iterate (it then
-    includes the failing rotation).  An applied pivot proves the iterate
-    finite by one finite sum: its record's two weights with the trace on,
-    else the squares of its touched rows.  Only if neither is finite are
-    those rows checked entrywise; a non-finite entry raises NonFiniteError.
+    runs when the loop raises, so Z always matches the iterate.  Then the
+    whole iterate is proved finite once: by its finite sum of squares, or
+    failing that entrywise; a non-finite entry raises NonFiniteError, naming
+    the sweep.  An accepted input cannot trip this check: ||A||_F^2 is
+    finite, every rotation is unitary and a NaN gain gives the identity.
     """
     a, z = state.a, state.z
     n = a.shape[0] // 2
@@ -184,37 +177,31 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
             rotation = planes(kind, i, j, sol.phi, sol.alpha, n)
             apply_similarity(a, rotation)
             applied += rotation
-            if trace:
-                weights = diag_norm_sq(a), offdiag_norm_sq(a)
-            # finite weights prove every entry finite; failing that, finite
-            # squares prove the touched rows finite; failing that, check them
-            if not (trace and weights[0] + weights[1] < np.inf):
-                touched = a.take([r for p, q, _, _ in rotation for r in (p, q)], 0)
-                if (not np.vdot(touched, touched).real < np.inf
-                        and not np.isfinite(touched).all()):
-                    raise NonFiniteError(
-                        f"non-finite entries at sweep {state.sweep + 1}, "
-                        f"step {state.step}, pivot ({i}, {j})")
             sweep_gain += sol.gain * len(rotation)  # a gain in each plane
             if trace:
-                _record(state, kind, i, j, sol.phi, sol.alpha, False, weights)
+                weights = _record(state, kind, i, j, sol.phi, sol.alpha, False,
+                                  None)
     finally:
         apply_right(z, applied)
+    if not np.vdot(a, a).real < np.inf and not np.isfinite(a).all():
+        raise NonFiniteError(f"non-finite entries at sweep {state.sweep + 1}")
     state.sweep += 1
     state.sweep_gain = sweep_gain
     return state
 
 
 def _record(state, kind, i, j, phi, alpha, skipped, weights):
-    """Append a trace record; return its (diag, offdiag) weights: ``weights``
-    (an applied pivot's finiteness proof, or a skipped pivot's last record;
-    ``state.a`` unchanged since), taken here when None."""
+    """Append a trace record; return its (diag, offdiag) weights.
+
+    ``weights`` is None after an applied pivot, and the weights are taken
+    here; a skipped pivot passes the last record's, since ``state.a`` is
+    unchanged since then.
+    """
     if weights is None:
         weights = diag_norm_sq(state.a), offdiag_norm_sq(state.a)
-    state.trace.append(TraceRecord(
-        sweep=state.sweep + 1, step=state.step, kind=kind.value, i=i, j=j,
-        phi=phi, alpha=alpha, diag_norm_sq=weights[0],
-        offdiag_norm_sq=weights[1], skipped=skipped))
+    state.trace.append(TraceRecord(state.sweep + 1, state.step, kind.value, i,
+                                   j, phi, alpha, weights[0], weights[1],
+                                   skipped))
     return weights
 
 

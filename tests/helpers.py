@@ -36,3 +36,18 @@ def submatrix_oracle_g(entries, phi, alpha):
     sub = np.array([[a_ii, a_ij], [a_ji, a_jj]])
     out = g.conj().T @ sub @ g
     return float(abs(out[0, 0]) ** 2 + abs(out[1, 1]) ** 2)
+
+
+def w_map(n):
+    """The monomial W with W^H (iJ) W = F: it sends perplectic index k to
+    symplectic index k, and 2n-1-k to n+k with phase -i (0-based, k < n).
+
+    W A W^H maps per-Hermitian A to skew-Hamiltonian and perskew-Hermitian
+    A to Hamiltonian, and W Q W^H maps unitary perplectic Q to unitary
+    symplectic.
+    """
+    w = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    for k in range(n):
+        w[k, k] = 1.0
+        w[n + k, 2 * n - 1 - k] = -1j
+    return w

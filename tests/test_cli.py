@@ -417,6 +417,7 @@ def test_solve_pipeline_normal_fixture(tmp_path):
 
     lines = trace.read_text().splitlines()
     assert lines[0] == "sweep,step,kind,i,j,phi,alpha,diag_norm_sq,offdiag_norm_sq,skipped"
+    assert tuple(lines[0].split(",")) == sn.TraceRecord._fields
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) % 36 == 0  # n^2 rows per sweep
     diag_col = [float(r[7]) for r in rows]

@@ -130,17 +130,20 @@ POISONS = [np.nan, np.inf, complex(0, -np.inf)]
 
 
 @pytest.mark.parametrize("poison", POISONS, ids=str)
+@pytest.mark.parametrize("sweep", [1, 2])
+@pytest.mark.parametrize("skip_rule", [True, False])
 @pytest.mark.parametrize("trace", [True, False])
 @pytest.mark.parametrize("plane", [0, -1])
-def test_non_finite_iterate_names_sweep_step_and_pivot(monkeypatch, plane,
-                                                       trace, poison):
+def test_non_finite_iterate_names_its_sweep(monkeypatch, plane, trace,
+                                            skip_rule, sweep, poison):
     # a non-finite entry written into a touched row (of the first plane, or
-    # of the mirror plane of a double rotation) stops the sweep at that
-    # pivot, whether the trace's weights or the touched rows' squares prove
-    # the iterate finite
+    # of the mirror plane of a double rotation) of the first rotation of a
+    # sweep is found as that sweep ends, with the trace on or off
     tag = sn.StructureTag.PER_HERMITIAN
-    n = 3
-    a = sn.gen_structured(tag, n, 4)
+    states = sn.iterate(sn.gen_structured(tag, 3, 4), tag, sn.SolverConfig(
+        trace=trace, skip_rule=skip_rule))
+    for _ in range(sweep - 1):
+        next(states)
     original = jacobi.apply_similarity
     first = []
 
@@ -148,18 +151,14 @@ def test_non_finite_iterate_names_sweep_step_and_pivot(monkeypatch, plane,
         original(m, rotation)
         if not first:
             first.append(rotation)
-            row = rotation[plane][1]
-            m[row, 0] = poison
+            m[rotation[plane][1], 0] = poison
         return m
 
     monkeypatch.setattr(jacobi, "apply_similarity", poisoned)
     with pytest.raises(sn.NonFiniteError) as info:
-        sn.solve(a, tag, sn.SolverConfig(trace=trace))
-    # the first plane of a rotation lies at its pivot (i, j), 0-based
-    i, j = first[0][0][0] + 1, first[0][0][1] + 1
-    step = [(pi, pj) for _, pi, pj in sn.pivot_set(tag.family, n)].index((i, j)) + 1
-    assert str(info.value) == (f"non-finite entries at sweep 1, step {step}, "
-                               f"pivot ({i}, {j})")
+        next(states)
+    assert first
+    assert str(info.value) == f"non-finite entries at sweep {sweep}"
 
 
 @pytest.mark.parametrize("poison", POISONS, ids=str)
@@ -167,9 +166,9 @@ def test_non_finite_iterate_names_sweep_step_and_pivot(monkeypatch, plane,
 @pytest.mark.parametrize("tag", TAGS)
 def test_sweep_that_raises_still_brings_z_up_to_date(monkeypatch, tag, trace,
                                                      poison):
-    # Z is updated once, as the sweep ends; a sweep stopped by a non-finite
-    # iterate must still leave Z equal, bit for bit, to the rotations it
-    # applied (the failing one included), taken one at a time
+    # a non-finite iterate is found as the sweep ends, so a poisoned sweep
+    # runs to its end and raises; Z must then equal, bit for bit, every
+    # rotation the sweep applied, taken one at a time
     n = 3
     states = sn.iterate(sn.gen_structured(tag, n, 5), tag,
                         sn.SolverConfig(trace=trace))
@@ -188,23 +187,27 @@ def test_sweep_that_raises_still_brings_z_up_to_date(monkeypatch, tag, trace,
     monkeypatch.setattr(jacobi, "apply_similarity", poisoned)
     with pytest.raises(sn.NonFiniteError):
         next(states)
-    assert len(applied) == 5
+    assert state.step == 2 * len(sn.pivot_set(tag.family, n))
+    assert len(applied) >= 5
     for rotation in applied:
         sn.apply_right(want, rotation)
     assert state.z.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("weight", [np.inf, np.nan])
-@pytest.mark.parametrize("rows_sum", ["finite", "inf"])
+@pytest.mark.parametrize("poison", [None, np.nan])
+@pytest.mark.parametrize("trace", [True, False])
+@pytest.mark.parametrize("squares", [None, np.inf, np.nan])
 def test_sums_that_are_not_finite_fall_back_to_the_entrywise_check(
-        monkeypatch, weight, rows_sum):
-    # weights that are not finite send the touched rows on to their sum of
-    # squares, and a sum that is not finite to the entrywise check; on finite
-    # rows the sweep goes on and computes the same bits
+        monkeypatch, squares, trace, poison):
+    # a sum of squares that is not finite (np.vdot patched to ``squares``)
+    # sends the iterate on to the entrywise check, once per sweep, and a
+    # finite sum skips it; a finite iterate goes on and computes the same
+    # bits, and a non-finite entry raises
     tag = sn.StructureTag.PER_HERMITIAN
     a = sn.gen_structured(tag, 3, 6)
-    config = sn.SolverConfig()
-    want = next(sn.iterate(a, tag, config))
+    config = sn.SolverConfig(max_sweeps=3, trace=trace)
+    want = [(s.a.tobytes(), s.z.tobytes(), s.sweep_gain)
+            for s in sn.iterate(a, tag, config)]
     states = sn.iterate(a, tag, config)  # checks the input, unpatched
     checked = []
     isfinite = np.isfinite
@@ -213,18 +216,26 @@ def test_sums_that_are_not_finite_fall_back_to_the_entrywise_check(
         checked.append(np.shape(x))
         return isfinite(x)
 
-    monkeypatch.setattr(jacobi, "offdiag_norm_sq", lambda m: weight)
-    if rows_sum == "inf":
-        monkeypatch.setattr(np, "vdot", lambda x, y: complex(np.inf, 0.0))
+    if squares is not None:
+        monkeypatch.setattr(np, "vdot", lambda x, y: complex(squares, 0.0))
     monkeypatch.setattr(np, "isfinite", counted)
-    state = next(states)
+    if poison is not None:
+        original = jacobi.apply_similarity
+
+        def poisoned(m, rotation):
+            m[rotation[0][0], 0] = poison
+            return original(m, rotation)
+
+        monkeypatch.setattr(jacobi, "apply_similarity", poisoned)
+        with pytest.raises(sn.NonFiniteError,
+                           match="^non-finite entries at sweep 1$"):
+            next(states)
+        assert checked == [a.shape]
+        return
+    got = [(s.a.tobytes(), s.z.tobytes(), s.sweep_gain) for s in states]
     monkeypatch.undo()
-    applied = sum(not r.skipped for r in state.trace)
-    assert applied > 0
-    assert len(checked) == (applied if rows_sum == "inf" else 0)
-    assert state.a.tobytes() == want.a.tobytes()
-    assert state.z.tobytes() == want.z.tobytes()
-    assert state.sweep_gain == want.sweep_gain
+    assert got == want
+    assert checked == ([] if squares is None else [a.shape] * len(want))
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,8 +244,8 @@ def test_sums_that_are_not_finite_fall_back_to_the_entrywise_check(
        ordering=st.sampled_from(["O1", "O2"]), skip_rule=st.booleans())
 def test_the_trace_does_not_change_the_computation(tag, n, seed, ordering,
                                                    skip_rule):
-    # the trace proves the iterate finite by other sums than its absence
-    # does; every sweep must still compute the same bits
+    # the trace takes two weights after each pivot and touches nothing
+    # else; every sweep must still compute the same bits
     a = sn.gen_structured(tag, n, seed)
     on, off = (sn.iterate(a, tag, sn.SolverConfig(
         ordering=ordering, skip_rule=skip_rule, max_sweeps=4, trace=trace))
@@ -440,8 +451,8 @@ def test_trace_weights_equal_a_fresh_recompute(monkeypatch, skip_rule):
 
 @pytest.mark.parametrize("skip_rule", [True, False])
 def test_planes_run_once_per_applied_pivot(monkeypatch, skip_rule):
-    # one plane list per applied pivot feeds the similarity, the finite
-    # check and the Z layers; skipped pivots make none
+    # one plane list per applied pivot feeds the similarity and the Z
+    # layers; skipped pivots make none
     planes = jacobi.planes
     calls = []
 
