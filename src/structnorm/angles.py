@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from math import atan2, cos, frexp, ldexp, sin
 
 import numpy as np
 
@@ -50,18 +51,6 @@ def _parts(entries):
     a_ii, a_ij, a_ji, a_jj = entries
     return (a_ii.real, a_ii.imag, a_jj.real, a_jj.imag,
             a_ij.real, a_ij.imag, a_ji.real, a_ji.imag)
-
-
-def _invariants(parts):
-    """The five entry combinations the stationarity conditions are built from."""
-    x_ii, y_ii, x_jj, y_jj, x_ij, y_ij, x_ji, y_ji = parts
-    s1 = (x_ij + x_ji) * (x_ii - x_jj) + (y_ij + y_ji) * (y_ii - y_jj)
-    s2 = (x_ii - x_jj) * (y_ij - y_ji) + (x_ji - x_ij) * (y_ii - y_jj)
-    s3 = (x_ij * x_ij + x_ji * x_ji + y_ij * y_ij + y_ji * y_ji
-          - (x_ii - x_jj) ** 2 - (y_ii - y_jj) ** 2)
-    p = x_ij * x_ji + y_ij * y_ji
-    q = x_ji * y_ij - x_ij * y_ji
-    return s1, s2, s3, p, q
 
 
 def _g_formula(parts, phi, alpha, m):
@@ -92,104 +81,92 @@ def eval_g(entries, phi, alpha):
     return _g_formula(_parts(entries), float(phi), float(alpha), math)
 
 
-def _phi_slope_coeffs(s1, s2, s3, p, q, alpha):
-    """(pc, qc) with d g / d phi = pc cos(4 phi) + qc sin(4 phi) at fixed alpha."""
-    return (2.0 * (s1 * math.cos(alpha) + s2 * math.sin(alpha)),
-            s3 + 2.0 * (p * math.cos(2 * alpha) + q * math.sin(2 * alpha)))
+def solve_angles(entries, alpha: float | None = None) -> AngleSolution:
+    """Maximize g over both angles (double embeddings), or over phi alone at
+    the given alpha (single embeddings, as ``solve_angles_fixed_alpha``).
 
-
-def _gain(pc, qc, phi):
-    """Exact gain g(phi, alpha) - g(0, 0), stable for tiny phi.
-
-    Integrating the phi-derivative gives g(phi, alpha) - g(0, alpha) =
-    (pc sin(4 phi) + qc (1 - cos(4 phi))) / 4, and g(0, alpha) = g(0, 0)
-    because phi = 0 is the identity rotation.  Evaluating the gain this way
-    keeps full relative accuracy when the gain is far below 1 ulp of g, which
-    is what drives the final sweeps of the Jacobi iteration; subtracting two
-    direct evaluations of g would drown the gain in rounding noise.
+    One straight-line body, with no helper calls: it runs at every pivot
+    visit of every sweep.
     """
-    s2p = math.sin(2 * phi)
-    return (pc * math.sin(4 * phi) + qc * 2.0 * s2p * s2p) / 4.0
-
-
-def _top_eigenvalue(s1, s2, s3, p, q):
-    """F = lambda_max(K), by Newton's method on det(xI - K) from above.
-
-    All roots are real, so from an upper bound the iterates fall
-    monotonically onto the largest root; the first one that fails to fall
-    ends the loop.
-    """
-    t = s1 * s1 + s2 * s2
-    c2 = -4.0 * s3
-    c1 = 4.0 * s3 * s3 - 4.0 * t - 16.0 * (p * p + q * q)
-    c0 = 8.0 * s3 * t - 16.0 * p * (s1 * s1 - s2 * s2) - 32.0 * q * s1 * s2
-    # Gershgorin: no eigenvalue exceeds a row's diagonal plus its off-diagonals
-    x = max(2.0 * (s3 + 2.0 * p + abs(s1)) + 4.0 * abs(q),
-            2.0 * (s3 - 2.0 * p + abs(s2)) + 4.0 * abs(q),
-            2.0 * (abs(s1) + abs(s2)))
-    while True:
-        df = (3.0 * x + 2.0 * c2) * x + c1
-        if not df > 0.0:  # at a multiple root
-            return x
-        nxt = x - (((x + c2) * x + c1) * x + c0) / df
-        if not nxt < x:
-            return x
-        x = nxt
-
-
-def _rescaled(entries) -> tuple[tuple[float, ...], int]:
-    """The pivot's 8 real parts times 2**-e, and e; e != 0 only at extreme scales.
-
-    det(xI - K) has coefficients of degree 6 in the entries, so they overflow
-    or underflow far inside the float range.  When the largest real or
-    imaginary part lies outside [2**-32, 2**32], the entries are divided by
-    the power of two that brings it into [0.5, 1), which is exact and leaves
-    the angles unchanged.  Pivots inside that range are left as they are:
-    ``**`` is libm ``pow``, which is not exactly homogeneous, so rescaling
-    every pivot would move the last bits of ordinary solutions.
-    """
-    parts = _parts(entries)
-    big = max(map(abs, parts))
-    if _SCALE_LO <= big <= _SCALE_HI:
-        return parts, 0
-    e = math.frexp(big)[1]
-    return tuple(math.ldexp(x, -e) for x in parts), e
-
-
-def _best_phi(parts, scale_exp: int, inv, alpha: float,
-              case: str) -> AngleSolution:
-    """The best rotation at alpha, or the identity when it gains nothing.
-
-    g_value and gain are scaled back by 4**scale_exp to the caller's entries.
-    """
-    pc, qc = _phi_slope_coeffs(*inv, alpha)
-    phi = 0.25 * math.atan2(pc, -qc)
-    gain = _gain(pc, qc, phi)
+    a_ii, a_ij, a_ji, a_jj = entries
+    x_ii, y_ii, x_jj, y_jj = a_ii.real, a_ii.imag, a_jj.real, a_jj.imag
+    x_ij, y_ij, x_ji, y_ji = a_ij.real, a_ij.imag, a_ji.real, a_ji.imag
+    # det(xI - K) has coefficients of degree 6 in the entries, so they
+    # overflow or underflow far inside the float range.  When the largest
+    # real or imaginary part lies outside [_SCALE_LO, _SCALE_HI], the entries
+    # are divided by the power of two that brings it into [0.5, 1), which is
+    # exact and leaves the angles unchanged.  Pivots inside that range are
+    # left as they are: ``**`` is libm ``pow``, which is not exactly
+    # homogeneous, so rescaling every pivot would move the last bits of
+    # ordinary solutions.
+    e = 0
+    big = max(abs(x_ii), abs(y_ii), abs(x_jj), abs(y_jj),
+              abs(x_ij), abs(y_ij), abs(x_ji), abs(y_ji))
+    if not _SCALE_LO <= big <= _SCALE_HI:
+        e = frexp(big)[1]
+        x_ii, y_ii, x_jj, y_jj = (ldexp(x_ii, -e), ldexp(y_ii, -e),
+                                  ldexp(x_jj, -e), ldexp(y_jj, -e))
+        x_ij, y_ij, x_ji, y_ji = (ldexp(x_ij, -e), ldexp(y_ij, -e),
+                                  ldexp(x_ji, -e), ldexp(y_ji, -e))
+    # the five invariants
+    dx, dy = x_ii - x_jj, y_ii - y_jj
+    s1 = (x_ij + x_ji) * dx + (y_ij + y_ji) * dy
+    s2 = dx * (y_ij - y_ji) + (x_ji - x_ij) * dy
+    s3 = (x_ij * x_ij + x_ji * x_ji + y_ij * y_ij + y_ji * y_ji
+          - dx ** 2 - dy ** 2)
+    p = x_ij * x_ji + y_ij * y_ji
+    q = x_ji * y_ij - x_ij * y_ji
+    case = "fixed_1d"
+    if alpha is None:
+        case = "cubic"
+        # F = lambda_max(K), by Newton's method on det(xI - K) =
+        # x^3 + c2 x^2 + c1 x + c0 from K's Gershgorin bound (no eigenvalue
+        # exceeds a row's diagonal plus its off-diagonals).  All roots are
+        # real, so the iterates fall monotonically onto the largest root;
+        # the first one that fails to fall ends the loop.
+        t = s1 * s1 + s2 * s2
+        d12 = s1 * s1 - s2 * s2
+        c2 = -4.0 * s3
+        c1 = 4.0 * s3 * s3 - 4.0 * t - 16.0 * (p * p + q * q)
+        c0 = 8.0 * s3 * t - 16.0 * p * d12 - 32.0 * q * s1 * s2
+        f = max(2.0 * (s3 + 2.0 * p + abs(s1)) + 4.0 * abs(q),
+                2.0 * (s3 - 2.0 * p + abs(s2)) + 4.0 * abs(q),
+                2.0 * (abs(s1) + abs(s2)))
+        while True:
+            df = (3.0 * f + 2.0 * c2) * f + c1
+            if not df > 0.0:  # at a multiple root
+                break
+            nxt = f - (((f + c2) * f + c1) * f + c0) / df
+            if not nxt < f:
+                break
+            f = nxt
+        # eliminating y3 from (K - F I) y = 0 leaves a 2x2 system in (y1, y2)
+        # whose null vector lies at this polar angle
+        alpha = 0.5 * atan2(4.0 * f * q + 4.0 * s1 * s2,
+                            4.0 * f * p + 2.0 * d12)
+    # the best phi at alpha: d g / d phi = pc cos(4 phi) + qc sin(4 phi)
+    pc = 2.0 * (s1 * cos(alpha) + s2 * sin(alpha))
+    qc = s3 + 2.0 * (p * cos(2 * alpha) + q * sin(2 * alpha))
+    phi = 0.25 * atan2(pc, -qc)
+    # The gain g(phi, alpha) - g(0, 0), by integrating the phi-derivative:
+    # g(phi, alpha) - g(0, alpha) = (pc sin(4 phi) + qc (1 - cos(4 phi))) / 4,
+    # and g(0, alpha) = g(0, 0) because phi = 0 is the identity rotation.
+    # This keeps full relative accuracy when the gain is far below 1 ulp of
+    # g, which is what drives the final sweeps of the Jacobi iteration;
+    # subtracting two direct evaluations of g would drown it in rounding.
+    s2p = sin(2 * phi)
+    gain = (pc * sin(4 * phi) + qc * 2.0 * s2p * s2p) / 4.0
     if not gain > 0.0:  # pc = qc = 0 gives atan2(0.0, -0.0) = pi
         phi, gain, case = 0.0, 0.0, "trivial"
-    x_ii, y_ii, x_jj, y_jj = parts[:4]
+    # g_value and gain are scaled back by 4**e to the caller's entries
     g0 = x_ii ** 2 + y_ii ** 2 + x_jj ** 2 + y_jj ** 2
-    return AngleSolution(phi, alpha, math.ldexp(g0 + gain, 2 * scale_exp),
-                         math.ldexp(gain, 2 * scale_exp), case)
+    return AngleSolution(phi, alpha, ldexp(g0 + gain, 2 * e),
+                         ldexp(gain, 2 * e), case)
 
 
-def solve_angles(entries) -> AngleSolution:
-    """Maximize g over both angles (double embeddings)."""
-    parts, scale_exp = _rescaled(entries)
-    inv = _invariants(parts)
-    s1, s2, s3, p, q = inv
-    f = _top_eigenvalue(*inv)
-    # eliminating y3 from (K - F I) y = 0 leaves a 2x2 system in (y1, y2)
-    # whose null vector lies at this polar angle
-    alpha = 0.5 * math.atan2(4.0 * f * q + 4.0 * s1 * s2,
-                             4.0 * f * p + 2.0 * (s1 * s1 - s2 * s2))
-    return _best_phi(parts, scale_exp, inv, alpha, "cubic")
-
-
-def solve_angles_fixed_alpha(entries, alpha: float) -> AngleSolution:
-    """Maximize g over phi alone, at the given alpha (single embeddings)."""
-    parts, scale_exp = _rescaled(entries)
-    return _best_phi(parts, scale_exp, _invariants(parts), alpha, "fixed_1d")
+# the sweep calls this name for the single embeddings, with their fixed
+# alpha, so that perfbench's tracer times the two solves apart
+solve_angles_fixed_alpha = solve_angles
 
 
 def grid_oracle(entries, grid: int,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -50,7 +50,8 @@ class SolverConfig:
     trace: bool = True
 
     def __post_init__(self):
-        if not (np.isfinite(self.tol) and self.tol > 0):
+        if (isinstance(self.tol, bool) or not isinstance(self.tol, Real)
+                or not (np.isfinite(self.tol) and self.tol > 0)):
             raise ValueError("tol must be positive and finite")
         if (isinstance(self.max_sweeps, bool)  # True is an Integral
                 or not isinstance(self.max_sweeps, Integral) or self.max_sweeps < 1):

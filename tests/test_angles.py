@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structnorm as sn
-from structnorm.angles import _invariants, _parts
+from structnorm.angles import _parts
 
 from helpers import random_problem, submatrix_oracle_g
+from test_per_pivot_references import _invariants
 
 
 def test_eval_g_diagonal_identity():
@@ -128,6 +129,23 @@ def test_fixed_alpha_zero_offdiagonal_prefers_identity():
     pr = (1 + 2j, 0j, 0j, -3 + 1j)
     sol = sn.solve_angles_fixed_alpha(pr, 0.0)
     assert sol.phi == 0.0
+
+
+def test_the_two_solver_names_share_one_signature():
+    # solve_angles_fixed_alpha is solve_angles under a second name: each
+    # takes (entries, alpha=None), a free solve without alpha and a solve over
+    # phi alone with it
+    assert sn.solve_angles_fixed_alpha is sn.solve_angles
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        pr = random_problem(rng)
+        free = sn.solve_angles_fixed_alpha(pr)
+        assert free == sn.solve_angles(pr)
+        assert free.case in ("cubic", "trivial")
+        fixed = sn.solve_angles(pr, -math.pi / 2)
+        assert fixed == sn.solve_angles_fixed_alpha(pr, -math.pi / 2)
+        assert fixed.alpha == -math.pi / 2
+        assert fixed.case in ("fixed_1d", "trivial")
 
 
 def test_fixed_alpha_examples_match_1d_grid():

@@ -85,13 +85,22 @@ def test_verify_tol_must_be_non_negative_and_finite(tmp_path, capsys):
     path = tmp_path / "j.mat"
     sn.write_matrix(path, sn.make_J(3))
     verify = ["verify", "--in", str(path), "--structure", "hamiltonian"]
-    for tol in ("-1", "nan", "inf", "-inf"):
-        assert main([*verify, f"--tol={tol}"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: tol must be non-negative and finite\n"
+    # joined to the option, and split from it: -inf and -1e-3 start with "-"
+    # and are not plain numbers, which argparse would take for options
+    for tol in ("-1", "nan", "inf", "-inf", "-1e-3"):
+        for given in ([f"--tol={tol}"], ["--tol", tol]):
+            assert main([*verify, *given]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: tol must be non-negative and finite\n"
     assert main([*verify, "--tol", "0"]) == 0
     assert float(capsys.readouterr().out) == 0.0
+    # a value left out is a usage error that names --tol, not a bad float
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--tol", *verify[1:]])
+    assert info.value.code == 2
+    assert ("argument --tol: expected one argument"
+            in capsys.readouterr().err)
 
 
 def test_non_finite_file_exits_2(tmp_path):
@@ -464,13 +473,17 @@ def test_solve_rejects_wrong_structure_exit_3(tmp_path):
     assert proc.returncode == 3
 
 
-def test_solve_non_finite_tol_exits_2(tmp_path):
+def test_solve_non_finite_tol_exits_2(tmp_path, capsys):
     mat = tmp_path / "a.mat"
     sn.write_matrix(mat, sn.gen_structured(sn.StructureTag.HAMILTONIAN, 2, 0))
-    for tol in ("nan", "inf"):
+    for tol in ("nan", "inf", "-inf"):
         assert main(["solve", "--in", str(mat), "--structure", "hamiltonian",
                      "--tol", tol, "--out-normal", str(tmp_path / "x.mat"),
                      "--out-z", str(tmp_path / "z.mat")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol must be positive and finite\n"
+    assert not (tmp_path / "x.mat").exists()
 
 
 def test_solve_nonconvergence_still_writes(tmp_path):

@@ -25,10 +25,15 @@ def test_distance_to_basic():
 
 def test_config_validation():
     # a non-finite tol makes the stop tol * ||A||^2 nan (inf * 0 for the zero
-    # matrix), which no sweep gain is at or below
-    for tol in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+    # matrix), which no sweep gain is at or below; a value that is not a
+    # real number is a ValueError too, not a TypeError from numpy, and a bool
+    # is a number, but no tolerance
+    for tol in (0.0, float("nan"), float("inf"), -1e-3, True, False, "1e-10",
+                None, 1e-3j):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
             sn.SolverConfig(tol=tol)
+    for tol in (1, 1e-300, np.float64(1e-3), np.float32(0.5), np.int64(2)):
+        assert sn.SolverConfig(tol=tol).tol == tol
     # rejected here, not at the first sweep (TypeError from range(), or
     # pivot_set's unknown ordering); a bool is an Integral, but no count
     for max_sweeps in (0, 2.5, 3.0, "3", True, False):

@@ -2,10 +2,11 @@
 
 The references below are the plain forms: the kind properties, the pivot
 test and the plane layout as if-chains, the pivot gain in numpy scalar
-arithmetic, and the trace weights through ``np.fill_diagonal`` and
-``np.real``.  The helpers read one per-kind table, Python scalars and fewer
-numpy calls; every result must stay bitwise the same, and every invalid
-position must raise the same error.
+arithmetic, the trace weights through ``np.fill_diagonal`` and ``np.real``,
+and the angle solvers as a chain of helper calls.  The helpers read one
+per-kind table, Python scalars and fewer numpy calls, and each angle solve
+is one straight-line body; every result must stay bitwise the same, and
+every invalid position must raise the same error.
 """
 import math
 
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 import structnorm as sn
-from structnorm import gradient, rotations, structures
+from structnorm import angles, gradient, rotations, structures
+from structnorm.angles import AngleSolution, _parts
 
 K = sn.RotationKind
 ALL_KINDS = list(K)
@@ -378,3 +380,174 @@ def test_structured_diagonal_matches_the_four_way_chain(tag):
     for d in (d0, d0[:1], d0[::-1], d0.real, np.array([-0.0]), np.zeros(0)):
         assert _same_bits(sn.structured_diagonal(tag, d),
                           _ref_structured_diagonal(tag, d))
+
+
+# The angle solvers as a chain of helpers, as they were before each became
+# one straight-line body.
+
+_SCALE_LO, _SCALE_HI = 2.0 ** -32, 2.0 ** 32
+
+
+def _invariants(parts):
+    """The five entry combinations the stationarity conditions are built from."""
+    x_ii, y_ii, x_jj, y_jj, x_ij, y_ij, x_ji, y_ji = parts
+    s1 = (x_ij + x_ji) * (x_ii - x_jj) + (y_ij + y_ji) * (y_ii - y_jj)
+    s2 = (x_ii - x_jj) * (y_ij - y_ji) + (x_ji - x_ij) * (y_ii - y_jj)
+    s3 = (x_ij * x_ij + x_ji * x_ji + y_ij * y_ij + y_ji * y_ji
+          - (x_ii - x_jj) ** 2 - (y_ii - y_jj) ** 2)
+    p = x_ij * x_ji + y_ij * y_ji
+    q = x_ji * y_ij - x_ij * y_ji
+    return s1, s2, s3, p, q
+
+
+def _phi_slope_coeffs(s1, s2, s3, p, q, alpha):
+    """(pc, qc) with d g / d phi = pc cos(4 phi) + qc sin(4 phi) at fixed alpha."""
+    return (2.0 * (s1 * math.cos(alpha) + s2 * math.sin(alpha)),
+            s3 + 2.0 * (p * math.cos(2 * alpha) + q * math.sin(2 * alpha)))
+
+
+def _gain(pc, qc, phi):
+    """Exact gain g(phi, alpha) - g(0, 0), stable for tiny phi.
+
+    Integrating the phi-derivative gives g(phi, alpha) - g(0, alpha) =
+    (pc sin(4 phi) + qc (1 - cos(4 phi))) / 4, and g(0, alpha) = g(0, 0)
+    because phi = 0 is the identity rotation.  Evaluating the gain this way
+    keeps full relative accuracy when the gain is far below 1 ulp of g, which
+    is what drives the final sweeps of the Jacobi iteration; subtracting two
+    direct evaluations of g would drown the gain in rounding noise.
+    """
+    s2p = math.sin(2 * phi)
+    return (pc * math.sin(4 * phi) + qc * 2.0 * s2p * s2p) / 4.0
+
+
+def _top_eigenvalue(s1, s2, s3, p, q):
+    """F = lambda_max(K), by Newton's method on det(xI - K) from above.
+
+    All roots are real, so from an upper bound the iterates fall
+    monotonically onto the largest root; the first one that fails to fall
+    ends the loop.
+    """
+    t = s1 * s1 + s2 * s2
+    c2 = -4.0 * s3
+    c1 = 4.0 * s3 * s3 - 4.0 * t - 16.0 * (p * p + q * q)
+    c0 = 8.0 * s3 * t - 16.0 * p * (s1 * s1 - s2 * s2) - 32.0 * q * s1 * s2
+    # Gershgorin: no eigenvalue exceeds a row's diagonal plus its off-diagonals
+    x = max(2.0 * (s3 + 2.0 * p + abs(s1)) + 4.0 * abs(q),
+            2.0 * (s3 - 2.0 * p + abs(s2)) + 4.0 * abs(q),
+            2.0 * (abs(s1) + abs(s2)))
+    while True:
+        df = (3.0 * x + 2.0 * c2) * x + c1
+        if not df > 0.0:  # at a multiple root
+            return x
+        nxt = x - (((x + c2) * x + c1) * x + c0) / df
+        if not nxt < x:
+            return x
+        x = nxt
+
+
+def _rescaled(entries) -> tuple[tuple[float, ...], int]:
+    """The pivot's 8 real parts times 2**-e, and e; e != 0 only at extreme scales.
+
+    det(xI - K) has coefficients of degree 6 in the entries, so they overflow
+    or underflow far inside the float range.  When the largest real or
+    imaginary part lies outside [2**-32, 2**32], the entries are divided by
+    the power of two that brings it into [0.5, 1), which is exact and leaves
+    the angles unchanged.  Pivots inside that range are left as they are:
+    ``**`` is libm ``pow``, which is not exactly homogeneous, so rescaling
+    every pivot would move the last bits of ordinary solutions.
+    """
+    parts = _parts(entries)
+    big = max(map(abs, parts))
+    if _SCALE_LO <= big <= _SCALE_HI:
+        return parts, 0
+    e = math.frexp(big)[1]
+    return tuple(math.ldexp(x, -e) for x in parts), e
+
+
+def _best_phi(parts, scale_exp: int, inv, alpha: float,
+              case: str) -> AngleSolution:
+    """The best rotation at alpha, or the identity when it gains nothing.
+
+    g_value and gain are scaled back by 4**scale_exp to the caller's entries.
+    """
+    pc, qc = _phi_slope_coeffs(*inv, alpha)
+    phi = 0.25 * math.atan2(pc, -qc)
+    gain = _gain(pc, qc, phi)
+    if not gain > 0.0:  # pc = qc = 0 gives atan2(0.0, -0.0) = pi
+        phi, gain, case = 0.0, 0.0, "trivial"
+    x_ii, y_ii, x_jj, y_jj = parts[:4]
+    g0 = x_ii ** 2 + y_ii ** 2 + x_jj ** 2 + y_jj ** 2
+    return AngleSolution(phi, alpha, math.ldexp(g0 + gain, 2 * scale_exp),
+                         math.ldexp(gain, 2 * scale_exp), case)
+
+
+def _ref_solve_angles(entries) -> AngleSolution:
+    """Maximize g over both angles (double embeddings)."""
+    parts, scale_exp = _rescaled(entries)
+    inv = _invariants(parts)
+    s1, s2, s3, p, q = inv
+    f = _top_eigenvalue(*inv)
+    # eliminating y3 from (K - F I) y = 0 leaves a 2x2 system in (y1, y2)
+    # whose null vector lies at this polar angle
+    alpha = 0.5 * math.atan2(4.0 * f * q + 4.0 * s1 * s2,
+                             4.0 * f * p + 2.0 * (s1 * s1 - s2 * s2))
+    return _best_phi(parts, scale_exp, inv, alpha, "cubic")
+
+
+def _ref_solve_angles_fixed_alpha(entries, alpha: float) -> AngleSolution:
+    """Maximize g over phi alone, at the given alpha (single embeddings)."""
+    parts, scale_exp = _rescaled(entries)
+    return _best_phi(parts, scale_exp, _invariants(parts), alpha, "fixed_1d")
+
+
+def _random_pivots(rng, count, scale_exp):
+    for _ in range(count):
+        v = rng.standard_normal(8) * 2.0 ** scale_exp
+        yield tuple(complex(v[k], v[k + 1]) for k in range(0, 8, 2))
+
+
+def _angle_pivots():
+    """Pivots on both sides of the rescale window, with exact zeros, real
+    entries only and equal diagonals."""
+    rng = np.random.default_rng(2024)
+    for k in (-600, -40, -33, -32, 0, 32, 33, 40, 600):
+        yield from _random_pivots(rng, 400, k)
+    for entries in _random_pivots(rng, 400, 0):
+        mask = rng.random(4) < 0.5
+        yield tuple(0j if zero else z for zero, z in zip(mask, entries))
+        yield tuple(complex(z.real) for z in entries)
+        yield entries[0], entries[1], entries[2], entries[0]  # equal diagonals
+        yield entries[0], entries[1], entries[1], entries[0]
+        yield entries[0], entries[1], -entries[1].conjugate(), entries[0]
+    yield 0j, 0j, 0j, 0j
+    yield complex(-0.0, -0.0), 0j, complex(-0.0, 0.0), 0j
+    for big in (_SCALE_LO, _SCALE_HI):  # the window's edges, and one ulp out
+        for edge in (big, math.nextafter(big, 0.0), math.nextafter(big, 1.0)):
+            yield complex(edge, 0.25 * edge), 0.5j * edge, 0.125 * edge + 0j, 0j
+
+
+def _outcome(solver, *args):
+    """The solution's bits, or the error it raised: at 2**600 the weights
+    overflow."""
+    try:
+        sol = solver(*args)
+    except OverflowError as exc:
+        return "raises", str(exc)
+    return tuple(_bits(v) if isinstance(v, float) else v for v in sol)
+
+
+def test_angle_solvers_match_the_helper_chain():
+    count = 0
+    outcomes = set()
+    for entries in _angle_pivots():
+        count += 1
+        for got, want in [
+                (_outcome(angles.solve_angles, entries),
+                 _outcome(_ref_solve_angles, entries))] + [
+                (_outcome(angles.solve_angles_fixed_alpha, entries, alpha),
+                 _outcome(_ref_solve_angles_fixed_alpha, entries, alpha))
+                for alpha in (0.0, -math.pi / 2)]:
+            assert got == want, entries
+            outcomes.add(got[-1])
+    assert count >= 5000
+    assert {"trivial", "cubic", "fixed_1d"} < outcomes  # and an overflow
