@@ -272,12 +272,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # "--tol V" as "--tol=V": argparse takes a value that starts with "-" and
-    # is not a plain number (-inf, -1e-3) for an option; a next token that
-    # starts with "--" is an option, and the value was left out
+    # "--tol V" as "--tol=V", and so for the abbreviations "--to" and "--t"
+    # (argparse resolves them, or names them ambiguous): argparse takes a
+    # value that starts with "-" and is not a plain number (-inf, -1e-3) for
+    # an option; a next token that starts with "--" is an option, and the
+    # value was left out
     for k in reversed(range(len(argv) - 1)):
-        if argv[k] == "--tol" and not argv[k + 1].startswith("--"):
-            argv[k:k + 2] = [f"--tol={argv[k + 1]}"]
+        if argv[k] in ("--t", "--to", "--tol") and not argv[k + 1].startswith("--"):
+            argv[k:k + 2] = [f"{argv[k]}={argv[k + 1]}"]
     args = parser.parse_args(argv)
     if getattr(args, "rotations", None) is not None and not args.normal:
         parser.error("argument --rotations: only valid with --normal")

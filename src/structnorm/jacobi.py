@@ -31,6 +31,8 @@ from .structures import (StructureTag, check_structure, diag_norm_sq,
                          frob_norm, offdiag_norm_sq)
 
 PHI_SKIP = 1e-15  # rotations this small are recorded but not applied
+# the forced alpha of each kind; None for double embeddings
+_FIXED_ALPHAS = {kind: kind.fixed_alpha for kind in RotationKind}
 
 
 class StructureError(ValueError):
@@ -105,10 +107,13 @@ def distance_to(a: np.ndarray, x: np.ndarray) -> float:
 
 
 def _check_input(a: np.ndarray, tag: StructureTag | None = None) -> float:
-    """||A||_F^2, once A is found square, of even order, finite, of structure
-    ``tag`` (if given) and with ||A||_F^2 normal or zero, checked in turn."""
+    """||A||_F^2, once A is found square, not empty, of even order, finite, of
+    structure ``tag`` (if given) and with ||A||_F^2 normal or zero, checked in
+    turn."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    if a.shape[0] == 0:
+        raise ValueError("matrix must not be empty (0x0)")
     if a.shape[0] % 2 != 0:
         raise ValueError("even dimension required")
     if not np.isfinite(a).all():
@@ -129,6 +134,11 @@ def _check_input(a: np.ndarray, tag: StructureTag | None = None) -> float:
 def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> JacobiState:
     """One full pass over the pivot set, mutating the state in place.
 
+    Each pivot visit takes one path to one trace record (with the trace on).
+    The eta rule (``config.skip_rule``) may skip the pivot unsolved: it
+    records phi = alpha = 0, skipped.  Otherwise the angles are solved, and a
+    rotation with |phi| < PHI_SKIP is recorded with the solver's angles,
+    skipped; any other (a NaN phi too) is applied and recorded, not skipped.
     The iterate ``state.a`` is rotated pivot by pivot.  ``state.z`` is brought
     up to date once, when the sweep ends: one ``apply_right`` call with the
     planes of every rotation the sweep applied, in order.  That call also
@@ -140,13 +150,6 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
     """
     a, z = state.a, state.z
     n = a.shape[0] // 2
-    pivots = pivot_set(tag.family, n, config.ordering)
-    trace = config.trace
-    # the fixed alpha of each kind; None for double embeddings
-    fixed_alphas = {kind: kind.fixed_alpha for kind in RotationKind}
-
-    x_sweep = None
-    grad_norm = 0.0
     sweep_gain = 0.0
     weights = None  # (diag, offdiag) weight of ``a`` at the last record
     if config.skip_rule:
@@ -154,34 +157,27 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
 
     applied = []  # the applied planes, accumulated into Z as the sweep ends
     try:
-        for kind, i, j in pivots:
+        for kind, i, j in pivot_set(tag.family, n, config.ordering):
             state.step += 1
-            if config.skip_rule:
-                gain = pivot_gain(x_sweep, kind, i, j)
-                if should_skip(gain, grad_norm, n):
-                    if trace:
-                        weights = _record(state, kind, i, j, 0.0, 0.0, True,
-                                          weights)
-                    continue
-            p, q = i - 1, j - 1
-            entries = a.item(p, p), a.item(p, q), a.item(q, p), a.item(q, q)
-            fixed_alpha = fixed_alphas[kind]
-            if fixed_alpha is None:
-                sol = solve_angles(entries)
-            else:
-                sol = solve_angles_fixed_alpha(entries, fixed_alpha)
-            if abs(sol.phi) < PHI_SKIP:
-                if trace:
-                    weights = _record(state, kind, i, j, sol.phi, sol.alpha,
-                                      True, weights)
-                continue
-            rotation = planes(kind, i, j, sol.phi, sol.alpha, n)
-            apply_similarity(a, rotation)
-            applied += rotation
-            sweep_gain += sol.gain * len(rotation)  # a gain in each plane
-            if trace:
-                weights = _record(state, kind, i, j, sol.phi, sol.alpha, False,
-                                  None)
+            phi, alpha, skipped = 0.0, 0.0, True
+            if not (config.skip_rule and should_skip(
+                    pivot_gain(x_sweep, kind, i, j), grad_norm, n)):
+                p, q = i - 1, j - 1
+                entries = a.item(p, p), a.item(p, q), a.item(q, p), a.item(q, q)
+                fixed_alpha = _FIXED_ALPHAS[kind]
+                sol = (solve_angles(entries) if fixed_alpha is None
+                       else solve_angles_fixed_alpha(entries, fixed_alpha))
+                phi, alpha = sol.phi, sol.alpha
+                skipped = abs(phi) < PHI_SKIP  # False for a NaN phi
+                if not skipped:
+                    rotation = planes(kind, i, j, phi, alpha, n)
+                    apply_similarity(a, rotation)
+                    applied += rotation
+                    sweep_gain += sol.gain * len(rotation)  # a gain in each plane
+                    weights = None  # ``a`` moved
+            if config.trace:
+                weights = _record(state, kind, i, j, phi, alpha, skipped,
+                                  weights)
     finally:
         apply_right(z, applied)
     if not np.vdot(a, a).real < np.inf and not np.isfinite(a).all():
@@ -194,9 +190,9 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
 def _record(state, kind, i, j, phi, alpha, skipped, weights):
     """Append a trace record; return its (diag, offdiag) weights.
 
-    ``weights`` is None after an applied pivot, and the weights are taken
-    here; a skipped pivot passes the last record's, since ``state.a`` is
-    unchanged since then.
+    ``weights`` is None when ``state.a`` moved since the last record, or
+    none was taken this sweep, and the weights are taken here; otherwise
+    they are the last record's, as ``state.a`` is unchanged since then.
     """
     if weights is None:
         weights = diag_norm_sq(state.a), offdiag_norm_sq(state.a)

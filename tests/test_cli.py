@@ -86,9 +86,11 @@ def test_verify_tol_must_be_non_negative_and_finite(tmp_path, capsys):
     sn.write_matrix(path, sn.make_J(3))
     verify = ["verify", "--in", str(path), "--structure", "hamiltonian"]
     # joined to the option, and split from it: -inf and -1e-3 start with "-"
-    # and are not plain numbers, which argparse would take for options
+    # and are not plain numbers, which argparse would take for options.
+    # "--to" and "--t" are abbreviations argparse resolves to --tol here.
     for tol in ("-1", "nan", "inf", "-inf", "-1e-3"):
-        for given in ([f"--tol={tol}"], ["--tol", tol]):
+        for given in ([f"--tol={tol}"], ["--tol", tol], [f"--to={tol}"],
+                      ["--to", tol], ["--t", tol]):
             assert main([*verify, *given]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -476,14 +478,22 @@ def test_solve_rejects_wrong_structure_exit_3(tmp_path):
 def test_solve_non_finite_tol_exits_2(tmp_path, capsys):
     mat = tmp_path / "a.mat"
     sn.write_matrix(mat, sn.gen_structured(sn.StructureTag.HAMILTONIAN, 2, 0))
-    for tol in ("nan", "inf", "-inf"):
-        assert main(["solve", "--in", str(mat), "--structure", "hamiltonian",
-                     "--tol", tol, "--out-normal", str(tmp_path / "x.mat"),
-                     "--out-z", str(tmp_path / "z.mat")]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: tol must be positive and finite\n"
+    outs = ["--out-normal", str(tmp_path / "x.mat"),
+            "--out-z", str(tmp_path / "z.mat")]
+    solve = ["solve", "--in", str(mat), "--structure", "hamiltonian"]
+    # "--to" resolves to --tol; "--t" could be --tol or --trace here
+    for tol in ("nan", "inf", "-inf", "-1e-3"):
+        for given in (["--tol", tol], [f"--tol={tol}"], ["--to", tol]):
+            assert main([*solve, *given, *outs]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: tol must be positive and finite\n"
     assert not (tmp_path / "x.mat").exists()
+    with pytest.raises(SystemExit) as info:
+        main([*solve, "--t", "-inf", *outs])
+    assert info.value.code == 2
+    assert "ambiguous option: --t=-inf could match --tol, --trace" in (
+        capsys.readouterr().err)
 
 
 def test_solve_nonconvergence_still_writes(tmp_path):
