@@ -12,8 +12,10 @@ Subcommands:
 Exit codes, all mapped by ``main``: 0 success (converged=0 from solve flags a
 hit sweep limit), 1 verify residual above tolerance, 2 usage, file or numeric
 errors, 3 solve input failing its structure check.  A solve that cannot write
-all of its outputs leaves none of them.  The seed defaults to 0, or to
-STRUCTNORM_SEED, which must be an integer (else exit 2 in gen and experiment).
+all of its outputs leaves none of them: it removes every output it opened for
+writing, and leaves a path it could not open as it was.  The seed defaults to
+0, or to STRUCTNORM_SEED, which must be an integer (else exit 2 in gen and
+experiment).
 """
 from __future__ import annotations
 
@@ -62,16 +64,19 @@ def cmd_solve(args) -> int:
                                  skip_rule=args.skip_rule,
                                  trace=args.trace is not None)
     result = jacobi.solve(a, tag, config)
-    written = []
+    outputs = [(args.out_normal, write_matrix, result.x),
+               (args.out_z, write_matrix, result.z)]
+    if args.trace is not None:
+        outputs.append((args.trace, _write_trace, result.trace))
+    opened = []  # the outputs this run opened for writing
     try:
-        for path, m in ((args.out_normal, result.x), (args.out_z, result.z)):
-            write_matrix(path, m)
-            written.append(path)
-        if args.trace is not None:
-            _write_trace(args.trace, result.trace)
-    except OSError as exc:
-        for path in written:
-            Path(path).unlink(missing_ok=True)
+        for path, write, data in outputs:
+            open(path, "w").close()  # a path it cannot open is left as it is
+            opened.append(path)
+            write(path, data)
+    except OSError as exc:  # a write that failed part way leaves a prefix
+        for path in filter(os.path.isfile, opened):  # not a device, /dev/null
+            os.remove(path)
         raise ValueError(f"cannot write output: {exc}") from exc
     print(f"sweeps={result.sweeps} converged={int(result.converged)} "
           f"distance={_fmt(result.distance)} "

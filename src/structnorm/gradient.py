@@ -110,8 +110,7 @@ def pivot_gain(x: np.ndarray, kind: RotationKind, i: int, j: int) -> float:
     yield 2|x_ij|.  sgn(0) is taken as 1 so a zero entry gives gain 0.
     """
     n = x.shape[0] // 2
-    kind_row = check_pivot(kind, i, j, n)
-    alpha = kind_row.fixed_alpha
+    alpha = check_pivot(kind, i, j, n).fixed_alpha
     x_piv = x.item(i - 1, j - 1)
     if alpha is None:
         # e^{-i alpha} = conj(x)/|x|
@@ -119,7 +118,7 @@ def pivot_gain(x: np.ndarray, kind: RotationKind, i: int, j: int) -> float:
     total = 0.0
     # the planes of dR/dphi at phi = 0: dc/dphi = 0, ds/dphi = e^{i alpha}
     e_alpha = complex(math.cos(alpha), math.sin(alpha))
-    for p, q, _, ds in kind_row.layout(i, j, n, 0.0, e_alpha):
+    for p, q, _, ds in kind.layout(i, j, n, 0.0, e_alpha):
         total += (x.item(p, q).conjugate() * (-ds)
                   + x.item(q, p).conjugate() * ds.conjugate()).real
     return abs(total)

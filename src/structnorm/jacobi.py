@@ -25,14 +25,11 @@ import numpy as np
 
 from .angles import solve_angles, solve_angles_fixed_alpha
 from .gradient import pivot_gain, should_skip, tangent_gradient
-from .rotations import (_ORDERINGS, RotationKind, apply_right,
-                        apply_similarity, pivot_set, planes)
+from .rotations import _ORDERINGS, apply_right, apply_similarity, pivot_set, planes
 from .structures import (StructureTag, check_structure, diag_norm_sq,
                          frob_norm, offdiag_norm_sq)
 
 PHI_SKIP = 1e-15  # rotations this small are recorded but not applied
-# the forced alpha of each kind; None for double embeddings
-_FIXED_ALPHAS = {kind: kind.fixed_alpha for kind in RotationKind}
 
 
 class StructureError(ValueError):
@@ -60,6 +57,9 @@ class SolverConfig:
             raise ValueError("max_sweeps must be an integer >= 1")
         if str(self.ordering).upper() not in _ORDERINGS:
             raise ValueError(f"unknown ordering: {self.ordering!r}")
+        for name in ("skip_rule", "trace"):  # "false" would be true
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool")
 
 
 # one pivot visit: where it falls, its angles, the iterate's two weights
@@ -164,9 +164,8 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
                     pivot_gain(x_sweep, kind, i, j), grad_norm, n)):
                 p, q = i - 1, j - 1
                 entries = a.item(p, p), a.item(p, q), a.item(q, p), a.item(q, q)
-                fixed_alpha = _FIXED_ALPHAS[kind]
-                sol = (solve_angles(entries) if fixed_alpha is None
-                       else solve_angles_fixed_alpha(entries, fixed_alpha))
+                sol = (solve_angles(entries) if kind.fixed_alpha is None
+                       else solve_angles_fixed_alpha(entries, kind.fixed_alpha))
                 phi, alpha = sol.phi, sol.alpha
                 skipped = abs(phi) < PHI_SKIP  # False for a NaN phi
                 if not skipped:

@@ -15,10 +15,10 @@ A full cyclic sweep visits the n^2 positions returned by :func:`pivot_set`.
 
 What each kind is (its family; its forced alpha, None for a double
 embedding; the bounds cols(i, n) of its pivot columns in each row i; and the
-layout(i, j, n, c, s) of its planes) is stated once, in the per-kind table
-``_KINDS``, built at import.  The kind properties, :func:`pivot_set`,
-:func:`check_pivot` and :func:`planes` read it.  It holds nothing per pivot
-position: a one-shot solve would not reuse such a cache.
+layout(i, j, n, c, s) of its planes) is stated once, as the attributes of its
+:class:`RotationKind` member.  :func:`pivot_set`, :func:`check_pivot` and
+:func:`planes` read them.  Nothing is kept per pivot position: a one-shot
+solve would not reuse such a cache.
 
 A rotation is (kind, i, j, phi, alpha) until ``planes(kind, i, j, phi,
 alpha, n)`` lays it out as its plane list: one 0-based (p, q, c, s) per
@@ -30,7 +30,6 @@ evaluates the trig and lays out the planes; :func:`apply_similarity` and
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from enum import Enum
 from operator import index, itemgetter
 
@@ -40,60 +39,48 @@ from . import _kernels
 from .structures import PERPLECTIC, SYMPLECTIC, make_F, make_J
 
 
-class RotationKind(Enum):
-    SYMP_SINGLE = "symp-single"
-    SYMP_DIRECT_SUM = "symp-direct-sum"
-    SYMP_CONCENTRIC = "symp-concentric"
-    PERP_SINGLE = "perp-single"
-    PERP_DIRECT_SUM = "perp-direct-sum"
-    PERP_INTERLEAVED = "perp-interleaved"
-
-    # members are singletons; Enum's own hash runs Python code per lookup
-    __hash__ = object.__hash__
-
-    @property
-    def family(self) -> str:
-        return _KINDS[self].family
-
-    @property
-    def fixed_alpha(self) -> float | None:
-        """Forced alpha for single embeddings, None for double ones."""
-        return _KINDS[self].fixed_alpha
-
-
-_Kind = namedtuple("_Kind", "family fixed_alpha cols layout")
 # the layouts two kinds share; perplectic doubles mirror into the flipped
 # plane with -conj(s)
 _single = lambda i, j, n, c, s: [(i - 1, j - 1, c, s)]
 _perp_double = lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (2 * n - j, 2 * n - i, c, -s.conjugate())]
-# cols(i, n) bounds the pivot columns lo <= j < hi of row i, 1 <= i <= n.
-# Each family's rows are in O1 order: direct sum, single, the other double.
-_KINDS = {
-    RotationKind.SYMP_DIRECT_SUM: _Kind(
-        SYMPLECTIC, None, lambda i, n: (i + 1, n + 1),
-        lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (n + i - 1, n + j - 1, c, s)]),
-    RotationKind.SYMP_SINGLE: _Kind(
-        SYMPLECTIC, 0.0, lambda i, n: (n + i, n + i + 1), _single),
-    RotationKind.SYMP_CONCENTRIC: _Kind(
-        SYMPLECTIC, None, lambda i, n: (n + i + 1, 2 * n + 1),
-        lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (j - n - 1, n + i - 1, c, s.conjugate())]),
-    RotationKind.PERP_DIRECT_SUM: _Kind(
-        PERPLECTIC, None, lambda i, n: (i + 1, n + 1), _perp_double),
-    RotationKind.PERP_SINGLE: _Kind(
-        PERPLECTIC, -math.pi / 2, lambda i, n: (2 * n - i + 1, 2 * n - i + 2),
-        _single),
-    RotationKind.PERP_INTERLEAVED: _Kind(
-        PERPLECTIC, None, lambda i, n: (n + 1, 2 * n - i + 1), _perp_double),
-}
 
 
-def check_pivot(kind: RotationKind, i: int, j: int, n: int) -> _Kind:
-    """The kind's table row; ValueError unless (i, j) is its pivot at half-dimension n."""
-    kind_row = _KINDS[kind]
+class RotationKind(Enum):
+    """The six embeddings, each member with its own row.
+
+    ``family``; ``fixed_alpha``, the forced alpha of a single embedding and
+    None for a double one; ``cols(i, n)``, the bounds lo <= j < hi of the
+    pivot columns of row i, 1 <= i <= n; and ``layout(i, j, n, c, s)``, its
+    plane list.  Each family's members are in O1 order: direct sum, single,
+    the other double.
+    """
+
+    def __new__(cls, value, family, fixed_alpha, cols, layout):
+        kind = object.__new__(cls)
+        kind._value_, kind.family, kind.fixed_alpha, kind.cols, kind.layout = (
+            value, family, fixed_alpha, cols, layout)
+        return kind
+
+    SYMP_DIRECT_SUM = ("symp-direct-sum", SYMPLECTIC, None, lambda i, n: (i + 1, n + 1),
+                       lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (n + i - 1, n + j - 1, c, s)])
+    SYMP_SINGLE = ("symp-single", SYMPLECTIC, 0.0, lambda i, n: (n + i, n + i + 1), _single)
+    SYMP_CONCENTRIC = (
+        "symp-concentric", SYMPLECTIC, None, lambda i, n: (n + i + 1, 2 * n + 1),
+        lambda i, j, n, c, s: [(i - 1, j - 1, c, s), (j - n - 1, n + i - 1, c, s.conjugate())])
+    PERP_DIRECT_SUM = ("perp-direct-sum", PERPLECTIC, None, lambda i, n: (i + 1, n + 1),
+                       _perp_double)
+    PERP_SINGLE = ("perp-single", PERPLECTIC, -math.pi / 2,
+                   lambda i, n: (2 * n - i + 1, 2 * n - i + 2), _single)
+    PERP_INTERLEAVED = ("perp-interleaved", PERPLECTIC, None,
+                        lambda i, n: (n + 1, 2 * n - i + 1), _perp_double)
+
+
+def check_pivot(kind: RotationKind, i: int, j: int, n: int) -> RotationKind:
+    """The kind; ValueError unless (i, j) is its pivot at half-dimension n."""
     try:
-        lo, hi = kind_row.cols(index(i), n)
+        lo, hi = kind.cols(index(i), n)
         if 1 <= i <= n and lo <= index(j) < hi:
-            return kind_row
+            return kind
     except TypeError:  # i or j is not an integer, like 2.0 (numpy integers pass)
         pass
     raise ValueError(
@@ -109,25 +96,20 @@ def planes(kind: RotationKind, i: int, j: int, phi: float, alpha: float,
     (p, q); c = cos(phi) is the same in all planes of the rotation.  A single
     kind's forced alpha replaces ``alpha``.
     """
-    kind_row = check_pivot(kind, i, j, n)
-    if kind_row.fixed_alpha is not None:
-        alpha = kind_row.fixed_alpha
+    check_pivot(kind, i, j, n)
+    if kind.fixed_alpha is not None:
+        alpha = kind.fixed_alpha
     s = complex(math.cos(alpha), math.sin(alpha)) * math.sin(phi)
-    return kind_row.layout(i, j, n, math.cos(phi), s)
-
-
-def _half_dim(dim: int) -> int:
-    if dim < 2 or dim % 2 != 0:
-        raise ValueError("rotations need an even dimension >= 2")
-    return dim // 2
+    return kind.layout(i, j, n, math.cos(phi), s)
 
 
 def build_rotation(kind: RotationKind, i: int, j: int, phi: float, alpha: float,
                    dim: int) -> np.ndarray:
     """Explicit dim x dim matrix of R(i, j, phi, alpha)."""
-    n = _half_dim(dim)
+    if dim < 2 or dim % 2 != 0:
+        raise ValueError("rotations need an even dimension >= 2")
     r = np.eye(dim, dtype=np.complex128)
-    for p, q, c, s in planes(kind, i, j, phi, alpha, n):
+    for p, q, c, s in planes(kind, i, j, phi, alpha, dim // 2):
         r[p, p] = c
         r[p, q] = -s
         r[q, p] = np.conj(s)
@@ -160,18 +142,17 @@ def apply_right(z: np.ndarray, rotation: list) -> np.ndarray:
 def is_structure_preserving(kind: RotationKind, i: int, j: int, phi: float,
                             alpha: float, dim: int) -> float:
     """Residual ||R^H S R - S||_F with S = J (symplectic) or S = F (perplectic)."""
-    n = _half_dim(dim)
-    r = build_rotation(kind, i, j, phi, alpha, dim)
-    s = make_J(n) if kind.family == SYMPLECTIC else make_F(dim)
+    r = build_rotation(kind, i, j, phi, alpha, dim)  # checks dim
+    s = make_J(dim // 2) if kind.family == SYMPLECTIC else make_F(dim)
     return float(np.linalg.norm(r.conj().T @ s @ r - s))
 
 
-# each ordering lists a family's positions from its (kind, cols) pairs
+# each ordering lists a family's positions from its kinds, in O1 order
 _ORDERINGS = {
-    "O1": lambda kinds, n: [(kind, i, j) for kind, cols in kinds
-                            for i in range(1, n + 1) for j in range(*cols(i, n))],
+    "O1": lambda kinds, n: [(kind, i, j) for kind in kinds
+                            for i in range(1, n + 1) for j in range(*kind.cols(i, n))],
     "O2": lambda kinds, n: [pos for i in range(1, n + 1) for pos in sorted(
-        [(kind, i, j) for kind, cols in kinds for j in range(*cols(i, n))],
+        [(kind, i, j) for kind in kinds for j in range(*kind.cols(i, n))],
         key=itemgetter(2), reverse=True)],
 }
 
@@ -187,7 +168,7 @@ def pivot_set(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    kinds = [(kind, row.cols) for kind, row in _KINDS.items() if row.family == family]
+    kinds = [kind for kind in RotationKind if kind.family == family]
     if not kinds:
         raise ValueError(f"unknown family: {family!r}")
     if str(ordering).upper() not in _ORDERINGS:

@@ -24,34 +24,26 @@ PERPLECTIC = "perplectic"
 
 
 class StructureTag(Enum):
-    """The four supported structure classes."""
+    """The four supported structure classes, each member with the family
+    that preserves it and the sign sigma of its defining identity
+    (S A)^H = sigma * S A."""
 
-    HAMILTONIAN = "hamiltonian"
-    SKEW_HAMILTONIAN = "skew-hamiltonian"
-    PER_HERMITIAN = "per-hermitian"
-    PERSKEW_HERMITIAN = "perskew-hermitian"
+    def __new__(cls, value, family, sign):
+        tag = object.__new__(cls)
+        tag._value_, tag.family, tag.sign = value, family, sign
+        return tag
+
+    HAMILTONIAN = ("hamiltonian", SYMPLECTIC, 1)
+    SKEW_HAMILTONIAN = ("skew-hamiltonian", SYMPLECTIC, -1)
+    PER_HERMITIAN = ("per-hermitian", PERPLECTIC, 1)
+    PERSKEW_HERMITIAN = ("perskew-hermitian", PERPLECTIC, -1)
 
     @classmethod
     def from_name(cls, name: str) -> "StructureTag":
-        key = name.strip().lower().replace("_", "-")
-        for tag in cls:
-            if tag.value == key:
-                return tag
-        raise ValueError(f"unknown structure tag: {name!r}")
-
-    @property
-    def family(self) -> str:
-        """Transformation family that preserves this structure."""
-        if self in (StructureTag.HAMILTONIAN, StructureTag.SKEW_HAMILTONIAN):
-            return SYMPLECTIC
-        return PERPLECTIC
-
-    @property
-    def sign(self) -> int:
-        """Sign sigma in the defining identity (S A)^H = sigma * S A."""
-        if self in (StructureTag.HAMILTONIAN, StructureTag.PER_HERMITIAN):
-            return 1
-        return -1
+        try:
+            return cls(name.strip().lower().replace("_", "-"))
+        except ValueError:
+            raise ValueError(f"unknown structure tag: {name!r}") from None
 
 
 def make_J(n: int) -> np.ndarray:

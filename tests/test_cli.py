@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import subprocess
@@ -14,13 +15,13 @@ from structnorm.cli import main
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "structnorm", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, **kwargs)
 
 
 def test_gen_writes_verifiable_file(tmp_path):
@@ -268,6 +269,81 @@ def test_solve_that_cannot_write_an_output_leaves_none(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write output: [Errno ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.mat"]
+
+
+def _solve_argv(tmp_path, n=2):
+    path = tmp_path / "h.mat"
+    sn.write_matrix(path, sn.gen_structured(sn.StructureTag.HAMILTONIAN, n, 0))
+    return ["solve", "--in", str(path), "--structure", "hamiltonian",
+            "--out-normal", str(tmp_path / "x.mat"),
+            "--out-z", str(tmp_path / "z.mat"), "--trace", str(tmp_path / "t.csv")]
+
+
+@pytest.mark.parametrize("failing", ["x.mat", "z.mat", "t.csv"])
+def test_solve_that_fails_part_way_through_a_write_leaves_no_output(
+        tmp_path, capsys, monkeypatch, failing):
+    # as a full disk does: the file is opened and gets a prefix, then the
+    # write fails
+    def failing_at(write):
+        def wrapped(path, data):
+            if Path(path).name == failing:
+                Path(path).write_text("structnorm-matrix v1 4")
+                raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+            write(path, data)
+        return wrapped
+
+    for name in ("write_matrix", "_write_trace"):
+        monkeypatch.setattr(cli, name, failing_at(getattr(cli, name)))
+    assert main(_solve_argv(tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write output: [Errno {errno.EFBIG}] "
+        f"{os.strerror(errno.EFBIG)}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.mat"]
+
+
+@pytest.mark.parametrize("limit", [1024, 2048])
+def test_solve_stopped_by_the_file_size_limit_leaves_no_output(tmp_path, limit):
+    # at n = 3, X is cut at 1 KiB; at 2 KiB X and Z are written whole and the
+    # trace is cut
+    resource = pytest.importorskip("resource")
+    proc = run_cli(*_solve_argv(tmp_path, n=3), preexec_fn=lambda: resource.setrlimit(
+        resource.RLIMIT_FSIZE, (limit, limit)))
+    assert proc.returncode == 2, proc.stderr
+    assert "File too large" in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.mat"]
+
+
+def test_solve_leaves_a_path_it_could_not_open_as_it_was(tmp_path, capsys):
+    argv = _solve_argv(tmp_path)
+    for option in ("--out-z", "--trace"):
+        path = tmp_path / option.strip("-")
+        (path / "kept").mkdir(parents=True)
+        failing = list(argv)
+        failing[argv.index(option) + 1] = str(path)
+        assert main(failing) == 2
+        assert "cannot write output" in capsys.readouterr().err
+        assert (path / "kept").is_dir()
+        assert not (tmp_path / "x.mat").exists()
+
+
+def test_solve_that_cannot_write_an_output_removes_no_device(tmp_path, capsys,
+                                                            monkeypatch):
+    # X goes to the null device; a failed solve must not remove it (the guard
+    # below stops the removal, so a failing run deletes nothing)
+    remove = os.remove
+
+    def guarded(path, *args, **kwargs):
+        assert os.fspath(path) != os.devnull, f"{path} removed"
+        remove(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "remove", guarded)
+    monkeypatch.setattr(os, "unlink", guarded)
+    argv = _solve_argv(tmp_path)
+    argv[argv.index("--out-normal") + 1] = os.devnull
+    argv[-1] = str(tmp_path / "no" / "t.csv")
+    assert main(argv) == 2
+    assert "cannot write output" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.mat"]
 
 

@@ -83,6 +83,14 @@ def test_one_ulp_in_rotate_cols_is_caught(tmp_path):
     run = _compare(ROOT, tmp_path)
     assert run.returncode == 1, run.stdout + run.stderr
     assert "DIFF" in run.stdout
+    # the one module whose size differs gets its own line, before the totals
+    tool = _load_tool()
+    a, b = ((source.count(b"\n"), tool.count_code_lines(source))
+            for source in ((ROOT / "src" / "structnorm" / "_kernels.py").read_bytes(),
+                           kernels.read_bytes()))
+    assert [line for line in run.stdout.splitlines() if " code lines" in line][:-1] == [
+        f"src/structnorm/_kernels.py: {a[0]} -> {b[0]} lines, "
+        f"{a[1]} -> {b[1]} code lines"]
 
 
 def _load_tool():
@@ -106,10 +114,20 @@ def test_summary_counts_the_failed_operations_of_each_tree(monkeypatch, capsys):
                   _record("z", "3", ["new"])]}
     monkeypatch.setattr(tool, "_spawn", lambda tree, seeds: None)
     monkeypatch.setattr(tool, "_collect", lambda tree, proc: runs[tree.name])
-    counts = {"A": (1632, 990), "B": (1605, 972)}
+    counts = {"A": {"src/structnorm/a.py": (1000, 600),
+                    "src/structnorm/b.py": (600, 380),
+                    "src/structnorm/gone.py": (32, 10)},
+              "B": {"src/structnorm/a.py": (1000, 600),
+                    "src/structnorm/b.py": (590, 365),
+                    "src/structnorm/new.py": (15, 7)}}
     monkeypatch.setattr(tool, "count_lines", lambda tree: counts[tree.name])
     assert tool.main(["A", "B"]) == 1
     out = capsys.readouterr().out.splitlines()
+    # one line per module whose counts differ, 0 where a tree lacks it
+    assert out[-5:-2] == [
+        "src/structnorm/b.py: 600 -> 590 lines, 380 -> 365 code lines",
+        "src/structnorm/gone.py: 32 -> 0 lines, 10 -> 0 code lines",
+        "src/structnorm/new.py: 0 -> 15 lines, 0 -> 7 code lines"]
     assert out[-2] == "src/structnorm: 1632 -> 1605 lines, 990 -> 972 code lines"
     assert out[-1] == "3 operations, 3 differ, 1 failed on A, 3 failed on B"
     runs["B"] = runs["A"]

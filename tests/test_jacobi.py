@@ -48,6 +48,14 @@ def test_config_validation():
         assert sn.pivot_set(sn.SYMPLECTIC, 2, config.ordering)
         assert len(list(sn.iterate(np.zeros((4, 4)), sn.StructureTag.HAMILTONIAN,
                                    config))) == 1
+    # the flags are read for their truth, so the string "false" would turn
+    # the trace on
+    for name in ("skip_rule", "trace"):
+        for flag in ("false", "", 0, 1, None, np.int64(1), 1.0):
+            with pytest.raises(ValueError, match=f"{name} must be a bool"):
+                sn.SolverConfig(**{name: flag})
+        for flag in (True, False, np.True_, np.False_):
+            assert getattr(sn.SolverConfig(**{name: flag}), name) is flag
 
 
 def test_iterate_rejects_what_solve_rejects_when_called():

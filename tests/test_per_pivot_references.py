@@ -1,10 +1,10 @@
 """The per-pivot helpers must give the bits of their reference versions.
 
-The references below are the plain forms: the kind properties, the pivot
-test and the plane layout as if-chains, the pivot gain in numpy scalar
+The references below are the plain forms: the kind and tag attributes, the
+pivot test and the plane layout as if-chains, the pivot gain in numpy scalar
 arithmetic, the trace weights through ``np.fill_diagonal`` and ``np.real``,
-and the angle solvers as a chain of helper calls.  The helpers read one
-per-kind table, Python scalars and fewer numpy calls, and each angle solve
+and the angle solvers as a chain of helper calls.  The helpers read each
+kind's own row, Python scalars and fewer numpy calls, and each angle solve
 is one straight-line body; every result must stay bitwise the same, and
 every invalid position must raise the same error.
 """
@@ -155,6 +155,14 @@ def test_kind_table_matches_if_chains():
         assert (got is None) == (want is None)
         if want is not None:
             assert _bits(got) == _bits(want)
+
+
+def test_structure_tags_match_if_chains():
+    symplectic = (sn.StructureTag.HAMILTONIAN, sn.StructureTag.SKEW_HAMILTONIAN)
+    plus = (sn.StructureTag.HAMILTONIAN, sn.StructureTag.PER_HERMITIAN)
+    for tag in sn.StructureTag:
+        assert tag.family == (sn.SYMPLECTIC if tag in symplectic else sn.PERPLECTIC)
+        assert tag.sign == (1 if tag in plus else -1)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -47,6 +49,23 @@ def test_rotation_unitary_and_structure_preserving(spec):
     r = sn.build_rotation(*spec, 8)
     assert np.linalg.norm(r.conj().T @ r - np.eye(8)) <= 1e-14 * 8
     assert sn.is_structure_preserving(*spec, 8) <= 1e-14 * 8
+
+
+@pytest.mark.parametrize("member", [*sn.RotationKind, *sn.StructureTag])
+def test_enum_members_round_trip_to_themselves(member):
+    # each member's __new__ sets its _value_ to the name alone, not its row
+    enum = type(member)
+    assert isinstance(member.value, str)
+    assert enum(member.value) is member
+    assert pickle.loads(pickle.dumps(member)) is member
+    assert copy.deepcopy(member) is member
+
+
+def test_kinds_are_listed_in_o1_order():
+    for family in (sn.SYMPLECTIC, sn.PERPLECTIC):
+        kinds = [kind for kind in sn.RotationKind if kind.family == family]
+        o1 = [kind for kind, _, _ in sn.pivot_set(family, 3)]
+        assert kinds == list(dict.fromkeys(o1))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -16,7 +16,9 @@ by D.  The line before it, ``src/structnorm: A -> B lines, C -> D code
 lines``, gives each tree's count of lines in ``src/structnorm/**/*.py`` (as
 ``wc -l`` counts them) and of its code lines (neither blank nor only a
 comment nor part of a docstring), the size that a change which simplifies
-should bring down.  The exit status is 0 when both trees give the same
+should bring down.  Before it comes one such line for each module whose
+counts differ, named by its path in the tree (0 for a module that a tree
+lacks).  The exit status is 0 when both trees give the same
 hashes and the same failed checks for every operation, 1 when any differ,
 and 2 when a tree cannot be run.
 """
@@ -65,13 +67,19 @@ def count_code_lines(source: bytes) -> int:
     return len(lines)
 
 
-def count_lines(tree: Path) -> tuple[int, int]:
-    """Newlines in the tree's ``src/structnorm/**/*.py``, as ``wc -l`` counts,
-    and code lines."""
-    sources = [path.read_bytes()
-               for path in (tree / "src" / "structnorm").rglob("*.py")]
-    return (sum(source.count(b"\n") for source in sources),
-            sum(map(count_code_lines, sources)))
+def count_lines(tree: Path) -> dict[str, tuple[int, int]]:
+    """Per module of the tree's ``src/structnorm/**/*.py``, by its path in the
+    tree: its newlines, as ``wc -l`` counts, and its code lines."""
+    sizes = {}
+    for path in (tree / "src" / "structnorm").rglob("*.py"):
+        source = path.read_bytes()
+        sizes[path.relative_to(tree).as_posix()] = (source.count(b"\n"),
+                                                    count_code_lines(source))
+    return sizes
+
+
+def _size_line(name: str, a: tuple[int, int], b: tuple[int, int]) -> str:
+    return f"{name}: {a[0]} -> {b[0]} lines, {a[1]} -> {b[1]} code lines"
 
 
 def run_tree(tree: Path, seeds: list[int]) -> list[dict]:
@@ -154,9 +162,14 @@ def main(argv=None) -> int:
         print(f"operation counts differ: {len(runs[0])} and {len(runs[1])}")
         differ += 1
     failed = [sum(bool(rec["problems"]) for rec in run) for run in runs]
-    (lines_a, code_a), (lines_b, code_b) = map(count_lines, args.trees)
-    print(f"src/structnorm: {lines_a} -> {lines_b} lines, "
-          f"{code_a} -> {code_b} code lines")
+    sizes = [count_lines(tree) for tree in args.trees]
+    for path in sorted(sizes[0].keys() | sizes[1].keys()):
+        a, b = (size.get(path, (0, 0)) for size in sizes)
+        if a != b:
+            print(_size_line(path, a, b))
+    totals = [(sum(lines for lines, _ in size.values()),
+               sum(code for _, code in size.values())) for size in sizes]
+    print(_size_line("src/structnorm", *totals))
     print(f"{len(runs[0])} operations, {differ} differ, "
           f"{failed[0]} failed on A, {failed[1]} failed on B")
     return 1 if differ else 0
