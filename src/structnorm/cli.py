@@ -11,11 +11,12 @@ Subcommands:
 
 Exit codes, all mapped by ``main``: 0 success (converged=0 from solve flags a
 hit sweep limit), 1 verify residual above tolerance, 2 usage, file or numeric
-errors, 3 solve input failing its structure check.  A solve that cannot write
-all of its outputs leaves none of them: it removes every output it opened for
-writing, and leaves a path it could not open as it was.  The seed defaults to
-0, or to STRUCTNORM_SEED, which must be an integer (else exit 2 in gen and
-experiment).
+errors, 3 solve input failing its structure check.  A command that cannot
+write its output leaves none: it removes every regular file it opened for
+writing (a solve, all of its outputs; gen and experiment, the file that
+failed), and leaves a path it could not open, or a device, as it was.  The
+seed defaults to 0, or to STRUCTNORM_SEED, which must be an integer (else
+exit 2 in gen and experiment).
 """
 from __future__ import annotations
 
@@ -49,11 +50,28 @@ def cmd_gen(args) -> int:
                                         n_rot=args.rotations)
     else:
         a = gen_structured(tag, args.n, args.seed)
-    try:
-        write_matrix(args.out, a)
-    except OSError as exc:
-        raise ValueError(f"cannot write {args.out}: {exc}") from exc
+    _write_outputs([(args.out, write_matrix, a)], f"cannot write {args.out}")
     return 0
+
+
+def _write_outputs(outputs, message: str) -> None:
+    """Write each ``(path, write, data)`` with ``write(path, data)``, in turn.
+
+    On an OSError, remove every output opened so far that is a regular file
+    (a write that failed part way leaves a prefix), and raise ValueError
+    ``"<message>: <error>"``.  A path that cannot be opened is left as it is,
+    and a device such as /dev/null is never removed.
+    """
+    opened = []
+    try:
+        for path, write, data in outputs:
+            open(path, "w").close()
+            opened.append(path)
+            write(path, data)
+    except OSError as exc:
+        for path in filter(os.path.isfile, opened):
+            os.remove(path)
+        raise ValueError(f"{message}: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
@@ -68,16 +86,7 @@ def cmd_solve(args) -> int:
                (args.out_z, write_matrix, result.z)]
     if args.trace is not None:
         outputs.append((args.trace, _write_trace, result.trace))
-    opened = []  # the outputs this run opened for writing
-    try:
-        for path, write, data in outputs:
-            open(path, "w").close()  # a path it cannot open is left as it is
-            opened.append(path)
-            write(path, data)
-    except OSError as exc:  # a write that failed part way leaves a prefix
-        for path in filter(os.path.isfile, opened):  # not a device, /dev/null
-            os.remove(path)
-        raise ValueError(f"cannot write output: {exc}") from exc
+    _write_outputs(outputs, "cannot write output")
     print(f"sweeps={result.sweeps} converged={int(result.converged)} "
           f"distance={_fmt(result.distance)} "
           f"offdiag_norm={_fmt(result.offdiag_norm_sq ** 0.5)} "
@@ -213,10 +222,12 @@ def _write_abs_grid(path, a) -> None:
 
 
 def _write_lines(path, lines) -> None:
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc}") from exc
+    _write_outputs([(path, _write_text, "\n".join(lines) + "\n")],
+                   f"cannot write {path}")
+
+
+def _write_text(path, text: str) -> None:
+    Path(path).write_text(text, encoding="ascii")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -40,7 +40,7 @@ class NonFiniteError(FloatingPointError):
     """Non-finite entries appeared during the iteration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     ordering: str = "O1"
     tol: float = 1e-14

@@ -347,6 +347,72 @@ def test_solve_that_cannot_write_an_output_removes_no_device(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.mat"]
 
 
+def _efbig(path):
+    # as a full disk does: the file gets a prefix, then the write fails
+    Path(path).write_text("structnorm-matrix v1 4")
+    raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+
+_EFBIG = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+
+
+@pytest.mark.parametrize("device", [False, True])
+def test_gen_that_fails_part_way_through_a_write_leaves_no_output(
+        tmp_path, capsys, monkeypatch, device):
+    # the cut-off file is removed; the null device is not (the guard stops
+    # the removal, so a failing run deletes nothing)
+    remove = os.remove
+
+    def guarded(path, *args, **kwargs):
+        assert os.fspath(path) != os.devnull, f"{path} removed"
+        remove(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "remove", guarded)
+    monkeypatch.setattr(os, "unlink", guarded)
+    monkeypatch.setattr(cli, "write_matrix", lambda path, a: _efbig(path))
+    out = os.devnull if device else str(tmp_path / "g.mat")
+    assert main(["gen", "--structure", "hamiltonian", "--n", "2",
+                 "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {_EFBIG}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_that_fails_part_way_through_a_write_removes_that_file(
+        tmp_path, capsys, monkeypatch):
+    # the grids written whole before it stay
+    write_text = cli._write_text
+
+    def failing(path, text):
+        if Path(path).name == "fig1_sweep1.csv":
+            _efbig(path)
+        write_text(path, text)
+
+    monkeypatch.setattr(cli, "_write_text", failing)
+    out = tmp_path / "e"
+    assert main(["experiment", "--figure", "1", "--n", "2",
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out / 'fig1_sweep1.csv'}: {_EFBIG}\n")
+    assert sorted(p.name for p in out.iterdir()) == ["fig1_sweep0.csv"]
+
+
+@pytest.mark.parametrize("command", ["gen", "experiment"])
+def test_gen_and_experiment_stopped_by_the_file_size_limit_leave_no_cut_file(
+        tmp_path, command):
+    # the 12 x 12 matrix and the 16 x 16 grid are each more than 1 KiB
+    resource = pytest.importorskip("resource")
+    argv = {"gen": ["gen", "--structure", "hamiltonian", "--n", "6",
+                    "--out", str(tmp_path / "g.mat")],
+            "experiment": ["experiment", "--figure", "1", "--n", "8",
+                           "--out-dir", str(tmp_path / "e")]}[command]
+    proc = run_cli(*argv, preexec_fn=lambda: resource.setrlimit(
+        resource.RLIMIT_FSIZE, (1024, 1024)))
+    assert proc.returncode == 2, proc.stderr
+    assert "File too large" in proc.stderr
+    left = [p.name for p in tmp_path.rglob("*")]
+    assert left == ([] if command == "gen" else ["e"])
+
+
 def test_verify_parse_error_exits_2(tmp_path):
     path = tmp_path / "junk.mat"
     path.write_text("not a matrix\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -56,6 +57,16 @@ def test_config_validation():
                 sn.SolverConfig(**{name: flag})
         for flag in (True, False, np.True_, np.False_):
             assert getattr(sn.SolverConfig(**{name: flag}), name) is flag
+
+
+def test_config_fields_cannot_be_assigned():
+    # an assignment would skip every check above: trace = "false" would turn
+    # the trace on, and max_sweeps = 2.5 would fail in range()
+    config = sn.SolverConfig(max_sweeps=1)
+    for name, value in (("trace", "false"), ("max_sweeps", 2.5)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+    assert (config.trace, config.max_sweeps) == (True, 1)
 
 
 def test_iterate_rejects_what_solve_rejects_when_called():

@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import structnorm as sn
+from structnorm import matrixio
 
 
 def _reference_write(path, a):
@@ -201,3 +209,106 @@ def test_write_then_read_is_bitwise_identity(tmp_path_factory, parts):
     b = sn.read_matrix(path)
     assert b.shape == a.shape
     assert b.tobytes() == a.tobytes()
+
+
+def _read_by_lines(path):
+    # read_matrix with the line loop in place of the bulk parse
+    with mock.patch.object(matrixio, "_parse_entries",
+                           matrixio._parse_entry_lines):
+        return sn.read_matrix(path)
+
+
+def _outcome(read, path):
+    try:
+        a = read(path)
+    except sn.MatrixFileError as exc:
+        return str(exc)
+    return a.dtype, a.shape, a.flags.f_contiguous, a.tobytes()
+
+
+_KEPT_WHOLE = {"none", "tab", "crlf", "formfeed"}  # numpy takes these whole
+
+
+@st.composite
+def _edited_files(draw):
+    """(edit, bytes) of a matrix file of random finite entries, changed by
+    one edit."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    parts = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=2 * rows * cols, max_size=2 * rows * cols))
+    lines = ["%.17g %.17g" % pair for pair in zip(parts[::2], parts[1::2])]
+    edit = draw(st.sampled_from([
+        "none", "blank", "third", "lone", "underscore", "non-ascii", "tab",
+        "crlf", "formfeed", "trailing", "missing", "header-only"]))
+    k = draw(st.integers(0, len(lines) - 1))
+    sep, end = " ", "\n"
+    if edit == "blank":
+        lines.insert(k, draw(st.sampled_from(["", " ", "\t", "\x0c"])))
+    elif edit == "third":
+        lines[k] += " 7"
+    elif edit == "lone":
+        lines[k] = lines[k].split()[draw(st.integers(0, 1))]
+    elif edit == "underscore":
+        lines[k] = "1_0 " + lines[k].split()[1]
+    elif edit == "tab":
+        sep = "\t"
+    elif edit == "crlf":
+        end = "\r\n"
+    elif edit == "formfeed":
+        sep = "\x0c"
+    elif edit == "trailing":
+        lines.append(draw(st.sampled_from(["1 2", "x", "0"])))
+    elif edit == "missing":
+        del lines[k:]
+    elif edit == "header-only":
+        lines = []
+    body = "".join(line.replace(" ", sep) + end for line in lines)
+    data = f"structnorm-matrix v1 {rows} {cols} complex\n{body}".encode("ascii")
+    if edit == "non-ascii":
+        at = draw(st.integers(data.index(b"\n") + 1, len(data)))
+        data = data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+    return edit, data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_files())
+def test_bulk_parse_agrees_with_the_line_loop(tmp_path_factory, edited):
+    # the same array, bitwise and in the same layout, or the same message;
+    # the loop runs only where numpy does not take the file whole, and no
+    # read lets a warning out (the header-only file makes loadtxt warn)
+    edit, data = edited
+    path = tmp_path_factory.mktemp("edit") / "m.mat"
+    path.write_bytes(data)
+    with mock.patch.object(matrixio, "_parse_entry_lines",
+                           wraps=matrixio._parse_entry_lines) as loop:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(sn.read_matrix, path)
+    assert got == _outcome(_read_by_lines, path)
+    assert loop.called == (edit not in _KEPT_WHOLE)
+
+
+def test_header_only_file_is_truncated_without_a_warning(tmp_path):
+    path = tmp_path / "m.mat"
+    path.write_text("structnorm-matrix v1 2 2 complex\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sn.MatrixFileError,
+                           match="truncated after 0 entries$"):
+            sn.read_matrix(path)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_a_pipe_is_read_line_by_line(tmp_path):
+    # a pipe cannot be reread, so the line loop parses it from the start
+    path = tmp_path / "h.mat"
+    sn.write_matrix(path, sn.gen_structured(sn.StructureTag.HAMILTONIAN, 2, 0))
+    text = path.read_text()
+    env = dict(os.environ, PYTHONPATH=str(Path(sn.__file__).parent.parent))
+    verify = [sys.executable, "-W", "error", "-m", "structnorm", "verify",
+              "--in", "/dev/stdin", "--structure", "hamiltonian"]
+    for stdin, code, err in ((text, 0, ""), (text + "1 2\n", 2, (
+            "error: /dev/stdin: data after the 16 entries\n"))):
+        proc = subprocess.run(verify, input=stdin, capture_output=True,
+                              text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (code, err)

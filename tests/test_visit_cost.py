@@ -17,6 +17,9 @@ def test_tiny_run_prints_every_n_and_every_part(capsys):
                             r"\(best of 1, 3 sweeps\)", line)
     parts = [line.split(":")[0] for line in lines[3:]]
     assert parts == ["n=16 solve_angles", "n=16 solve_angles_fixed_alpha",
-                     "n=16 planes", "n=16 plane_similarity"]
+                     "n=16 planes", "n=16 plane_similarity",
+                     "n=48 read_matrix", "n=48 write_matrix"]
     for line in lines[1:]:
-        assert float(re.search(r": (\S+) us", line).group(1)) > 0
+        assert float(re.search(r": (\S+) [um]s", line).group(1)) > 0
+    for line in lines[-2:]:
+        assert line.endswith(" ms per call")

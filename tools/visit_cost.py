@@ -16,22 +16,31 @@ per sweep.  Then, at n = 16, it prints the ``timeit`` minimum per call, over
 * ``rotations.planes`` of every pivot, at phi = 0.3 and alpha = 0.2;
 * ``_kernels.plane_similarity`` of the first double rotation of the sweep.
 
+Last, at n = 48 (the size of the ``cli-pipeline`` benchmark's files), it
+prints the ``timeit`` minimum per call, in ms, over ``--repeat`` rounds of
+10 calls, of ``matrixio.read_matrix`` and ``matrixio.write_matrix`` on a
+``gen_structured(HAMILTONIAN, 48, 0)`` file in a temporary directory.
+
 Nothing here is calibrated: compare two trees only within one session on one
 machine, alternating the runs.
 """
 from __future__ import annotations
 
 import argparse
+import tempfile
 import time
 import timeit
+from pathlib import Path
 
 import numpy as np
 
-from structnorm import _kernels, angles, jacobi, rotations
+from structnorm import _kernels, angles, jacobi, matrixio, rotations
 from structnorm.structures import StructureTag, gen_structured
 
 PARTS_N = 16  # half-dimension at which the parts of a visit are timed
 NUMBER = 2000  # calls per timeit round of each part
+IO_N = 48  # half-dimension at which a matrix file is read and written
+IO_NUMBER = 10  # calls per timeit round of each I/O function
 
 
 def sweep_cost(n: int, repeat: int) -> tuple[int, float]:
@@ -82,6 +91,21 @@ def part_costs(n: int, repeat: int, number: int) -> dict[str, float]:
     return costs
 
 
+def io_costs(n: int, repeat: int, number: int) -> dict[str, float]:
+    """Seconds per call of ``read_matrix`` and ``write_matrix`` on the file of
+    gen_structured(HAMILTONIAN, n, 0), timeit minima over rounds of
+    ``number`` calls."""
+    a = gen_structured(StructureTag.HAMILTONIAN, n, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.mat"
+        matrixio.write_matrix(path, a)
+        calls = {"read_matrix": lambda: matrixio.read_matrix(path),
+                 "write_matrix": lambda: matrixio.write_matrix(path, a)}
+        return {name: min(timeit.repeat(call, number=number,
+                                        repeat=repeat)) / number
+                for name, call in calls.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--n", default=[4, 8, 16, 25, 48, 64],
@@ -99,6 +123,8 @@ def main(argv=None) -> int:
               f"(best of {args.repeat}, {sweeps} sweeps)")
     for name, seconds in part_costs(PARTS_N, args.repeat, NUMBER).items():
         print(f"n={PARTS_N} {name}: {seconds * 1e6:.3f} us per call")
+    for name, seconds in io_costs(IO_N, args.repeat, IO_NUMBER).items():
+        print(f"n={IO_N} {name}: {seconds * 1e3:.3f} ms per call")
     return 0
 
 
