@@ -32,6 +32,11 @@ per CPU, so bits are reproducible on one machine, not across CPU families.
 ``rotations`` reads ``plane_similarity`` and ``rotate_cols`` as module
 attributes at call time; neither similarity kernel calls the attribute
 ``rotate_cols``, so it is only called for Z.
+
+``zrot`` has a third caller: the compiled sweep (``_sweep.c``) takes the
+address of ``_zrot`` and makes, from C, the same row and column calls per
+plane as ``_zrot_planes``, for the iterate and for Z.  It runs only while
+``plane_similarity``, ``rotate_cols`` and ``_zrot`` are still this module's.
 """
 from __future__ import annotations
 

@@ -23,6 +23,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from . import _sweep
 from .angles import solve_angles, solve_angles_fixed_alpha
 from .gradient import pivot_gain, should_skip, tangent_gradient
 from .rotations import _ORDERINGS, apply_right, apply_similarity, pivot_set, planes
@@ -30,6 +31,13 @@ from .structures import (StructureTag, check_structure, diag_norm_sq,
                          frob_norm, offdiag_norm_sq)
 
 PHI_SKIP = 1e-15  # rotations this small are recorded but not applied
+
+# the names the Python sweep reaches: the compiled sweep stands in for it
+# only while each is still the library's own (the tracer replaces them)
+_GLOBALS = globals()
+_OWN = tuple((name, _GLOBALS[name]) for name in (
+    "pivot_set", "solve_angles", "solve_angles_fixed_alpha", "planes",
+    "apply_similarity", "apply_right"))
 
 
 class StructureError(ValueError):
@@ -78,6 +86,9 @@ class JacobiState:
     step: int = 0
     sweep_gain: float = 0.0  # diagonal weight gained by the last sweep
     trace: list[TraceRecord] = field(default_factory=list)
+    # ((family, n, ordering), its pivot codes), built at the first compiled
+    # sweep for them
+    pivots: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -104,6 +115,13 @@ def distance_to(a: np.ndarray, x: np.ndarray) -> float:
         raise ValueError("shape mismatch")
     with np.errstate(over="ignore"):  # inf: beyond the largest double
         return frob_norm(a - x)
+
+
+def _check_tag(tag) -> None:
+    """TypeError unless ``tag`` is a StructureTag."""
+    if not isinstance(tag, StructureTag):
+        raise TypeError(f"tag must be a StructureTag, not {type(tag).__name__} "
+                        f"{tag!r} (StructureTag.from_name reads a name)")
 
 
 def _check_input(a: np.ndarray, tag: StructureTag | None = None) -> float:
@@ -147,7 +165,45 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
     failing that entrywise; a non-finite entry raises NonFiniteError, naming
     the sweep.  An accepted input cannot trip this check: ||A||_F^2 is
     finite, every rotation is unitary and a NaN gain gives the identity.
+
+    With the trace and the eta rule off, the sweep runs in C where it can
+    (``_compiled_sweep``), to the same state bit for bit; ``_python_sweep``
+    is the reference, and runs in every other case.
     """
+    a = state.a
+    sweep_gain = _compiled_sweep(state, tag, config)
+    if sweep_gain is None:
+        sweep_gain = _python_sweep(state, tag, config)
+    if not np.vdot(a, a).real < np.inf and not np.isfinite(a).all():
+        raise NonFiniteError(f"non-finite entries at sweep {state.sweep + 1}")
+    state.sweep += 1
+    state.sweep_gain = sweep_gain
+    return state
+
+
+def _compiled_sweep(state, tag, config):
+    """The sweep run by ``_sweep``, its gain; None, with nothing done, where
+    the trace or the eta rule is on, a name of ``_OWN`` was replaced, or
+    ``_sweep.run`` cannot serve.  Z takes each applied rotation's planes as
+    it is applied, in the order of ``_python_sweep``'s one call."""
+    if (config.trace or config.skip_rule
+            or any(_GLOBALS[name] is not fn for name, fn in _OWN)):
+        return None
+    key = (tag.family, state.a.shape[0] // 2, config.ordering)
+    if state.pivots is None or state.pivots[0] != key:
+        state.pivots = key, _sweep.pivot_codes(*key)
+    done = _sweep.run(state.a, state.z, state.pivots[1], PHI_SKIP)
+    if done is None:
+        return None
+    visits, sweep_gain = done
+    state.step += visits
+    if sweep_gain is None:  # where the Python angle solve raises
+        raise OverflowError("math range error")
+    return sweep_gain
+
+
+def _python_sweep(state, tag, config):
+    """The sweep in Python, visit by visit; its gain."""
     a, z = state.a, state.z
     n = a.shape[0] // 2
     sweep_gain = 0.0
@@ -179,11 +235,7 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
                                   weights)
     finally:
         apply_right(z, applied)
-    if not np.vdot(a, a).real < np.inf and not np.isfinite(a).all():
-        raise NonFiniteError(f"non-finite entries at sweep {state.sweep + 1}")
-    state.sweep += 1
-    state.sweep_gain = sweep_gain
-    return state
+    return sweep_gain
 
 
 def _record(state, kind, i, j, phi, alpha, skipped, weights):
@@ -205,9 +257,11 @@ def iterate(a: np.ndarray, tag: StructureTag,
             config: SolverConfig) -> Iterator[JacobiState]:
     """Sweep a copy of A from Z = I, yielding the state after each sweep.
 
-    A is checked at the call; at most ``config.max_sweeps`` sweeps run (leave
-    the loop to stop early), each updating the one yielded state in place.
+    The tag and A are checked at the call; at most ``config.max_sweeps``
+    sweeps run (leave the loop to stop early), each updating the one yielded
+    state in place.
     """
+    _check_tag(tag)
     a = np.array(a, dtype=np.complex128, order="C")
     _check_input(a)
     state = JacobiState(a=a, z=np.eye(len(a), dtype=np.complex128))
@@ -217,6 +271,7 @@ def iterate(a: np.ndarray, tag: StructureTag,
 def solve(a: np.ndarray, tag: StructureTag,
           config: SolverConfig | None = None) -> NearestNormalResult:
     """Nearest structured normal matrix to A, with the transformation trace."""
+    _check_tag(tag)
     if config is None:
         config = SolverConfig()
     a0 = np.asarray(a, dtype=np.complex128)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structnorm as sn
-from structnorm import jacobi
+from structnorm import _kernels, _sweep, jacobi
 
 TAGS = list(sn.StructureTag)
 
@@ -608,3 +608,161 @@ def test_first_sweep_dominates_on_random_hamiltonian():
     mean_diag_mass = first.diag_norm_sq / 50
     mean_off_mass = first.offdiag_norm_sq / (50 * 49)
     assert mean_diag_mass > 10 * mean_off_mass
+
+
+def test_a_tag_that_is_not_a_structure_tag_is_rejected_at_the_call():
+    a = sn.gen_structured(sn.StructureTag.HAMILTONIAN, 2, 0)
+    message = r"^tag must be a StructureTag, not str 'hamiltonian' "
+    with pytest.raises(TypeError, match=message):
+        sn.solve(a, "hamiltonian")
+    with pytest.raises(TypeError, match=message):
+        sn.iterate(a, "hamiltonian", sn.SolverConfig())  # before the first next()
+
+
+# --- the compiled sweep (``_sweep``) and the Python body ---------------------
+
+@pytest.fixture(scope="module")
+def compiled():
+    """Skip unless the compiled sweep loads here (it needs gcc and zrot)."""
+    tag = sn.StructureTag.HAMILTONIAN
+    next(sn.iterate(sn.gen_structured(tag, 1, 0), tag,
+                    sn.SolverConfig(trace=False)))
+    if _sweep.lib is None:
+        pytest.skip("the compiled sweep cannot be built here")
+
+
+def _count_python_sweeps(mp):
+    """A list that gains the sweep number of each sweep the Python body runs."""
+    body, ran = jacobi._python_sweep, []
+
+    def counted(state, *args):
+        ran.append(state.sweep + 1)
+        return body(state, *args)
+
+    mp.setattr(jacobi, "_python_sweep", counted)
+    return ran
+
+
+def _sweeps(a, tag, config):
+    """(a, z, sweep_gain, step) after each sweep of ``iterate``, and the
+    sweeps the Python body ran."""
+    with pytest.MonkeyPatch.context() as mp:
+        ran = _count_python_sweeps(mp)
+        states = [(s.a.tobytes(), s.z.tobytes(), s.sweep_gain, s.step)
+                  for s in sn.iterate(a, tag, config)]
+    return states, ran
+
+
+INPUTS = {
+    "generic": lambda tag, n, seed: sn.gen_structured(tag, n, seed),
+    "normal": lambda tag, n, seed: sn.gen_normal_structured(tag, n, seed)[0],
+    # equal leading diagonal entries: pivots with pc = qc = 0
+    "diagonal": lambda tag, n, seed: sn.structured_diagonal(
+        tag, np.full(n, complex(seed % 7 - 3, seed % 5 - 2))),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(tag=st.sampled_from(TAGS), n=st.integers(min_value=1, max_value=8),
+       seed=st.integers(min_value=0, max_value=10_000),
+       ordering=st.sampled_from(["O1", "O2"]), form=st.sampled_from(list(INPUTS)),
+       k=st.sampled_from([0, -300, 300]))
+def test_the_compiled_sweep_is_bitwise_the_python_sweep(compiled, tag, n, seed,
+                                                        ordering, form, k):
+    # normal inputs converge within the 6 sweeps, so the PHI_SKIP and
+    # trivial paths are taken too
+    a = INPUTS[form](tag, n, seed) * 2.0 ** k
+    config = sn.SolverConfig(ordering=ordering, max_sweeps=6, trace=False)
+    got, ran = _sweeps(a, tag, config)
+    assert ran == []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_sweep, "lib", None)
+        want, ran = _sweeps(a, tag, config)
+    assert ran == [1, 2, 3, 4, 5, 6]
+    assert got == want
+
+
+GUARDED = ([(jacobi, name) for name in (
+    "pivot_set", "solve_angles", "solve_angles_fixed_alpha", "planes",
+    "apply_similarity", "apply_right")]
+    + [(_kernels, name) for name in ("plane_similarity", "rotate_cols", "_zrot")])
+
+
+@pytest.mark.parametrize("module, name", GUARDED + [(_sweep, "lib")],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_a_replaced_binding_runs_the_python_body(compiled, module, name):
+    # the stand-in is the library's function, counted: the Python body then
+    # computes the same bits, and the C path would call none of them
+    tag = sn.StructureTag.PER_HERMITIAN
+    a = sn.gen_structured(tag, 3, 8)
+    config = sn.SolverConfig(max_sweeps=3, trace=False)
+    want, ran = _sweeps(a, tag, config)
+    assert ran == []
+    original, calls = getattr(module, name), []
+
+    def stand_in(*args):
+        calls.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, name, None if name == "lib" else stand_in)
+        got, ran = _sweeps(a, tag, config)
+    assert ran == [1, 2, 3]
+    assert got == want
+    assert (calls == []) == (name == "lib")
+
+
+def test_a_fortran_ordered_iterate_runs_the_python_body(compiled, monkeypatch):
+    tag = sn.StructureTag.SKEW_HAMILTONIAN
+    a = sn.gen_structured(tag, 3, 9)
+    ran = _count_python_sweeps(monkeypatch)
+    results = []
+    for lib in (_sweep.lib, None):
+        monkeypatch.setattr(_sweep, "lib", lib)
+        states = sn.iterate(a, tag, sn.SolverConfig(max_sweeps=2, trace=False))
+        state = next(states)
+        state.a = np.asfortranarray(state.a)
+        next(states)
+        results.append((state.a.tobytes(), state.z.tobytes(),
+                        state.sweep_gain, state.step))
+    assert ran == [2, 1, 2]
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("which", ["a", "z"])
+def test_a_read_only_array_runs_the_python_body(compiled, monkeypatch, which):
+    # the Python body's numpy kernel refuses to write it, and the C is never
+    # handed it
+    tag = sn.StructureTag.HAMILTONIAN
+    ran = _count_python_sweeps(monkeypatch)
+    states = sn.iterate(sn.gen_structured(tag, 3, 10), tag,
+                        sn.SolverConfig(trace=False))
+    state = next(states)
+    getattr(state, which).flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        next(states)
+    assert ran == [2]
+
+
+@pytest.mark.parametrize("r, c", [(0, 1), (2, 3), (0, 2)])
+def test_an_angle_solve_that_overflows_raises_as_the_python_body_does(
+        compiled, monkeypatch, r, c):
+    # entries near the largest double, written into the iterate between
+    # sweeps, make a pivot's gain overflow: both paths stop at that visit
+    # with the same error, step, iterate and Z
+    tag = sn.StructureTag.HAMILTONIAN
+    ran = _count_python_sweeps(monkeypatch)
+    results = []
+    for lib in (_sweep.lib, None):
+        monkeypatch.setattr(_sweep, "lib", lib)
+        states = sn.iterate(sn.gen_structured(tag, 2, 3), tag,
+                            sn.SolverConfig(trace=False))
+        state = next(states)
+        state.a[r, r] = state.a[c, c] = 1e308
+        state.a[r, c] = state.a[c, r] = 1e308j
+        with pytest.raises(OverflowError, match="^math range error$"):
+            next(states)
+        assert state.step > 4 and state.sweep == 1
+        results.append((state.step, state.a.tobytes(), state.z.tobytes()))
+    assert ran == [1, 2]
+    assert results[0] == results[1]

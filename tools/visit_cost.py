@@ -8,7 +8,9 @@ For each half-dimension n (``--n``, default 4, 8, 16, 25, 48, 64) it runs
 ``jacobi.iterate`` on ``gen_structured(HAMILTONIAN, n, 0)`` with the trace
 off, over 3 sweeps (2 at n >= 48), and takes the best of ``--repeat`` runs
 (default 5).  It prints the time per pivot visit (n^2 visits per sweep) and
-per sweep.  Then, at n = 16, it prints the ``timeit`` minimum per call, over
+per sweep twice: for the compiled sweep (``_sweep``; "not available" where
+it cannot be built), then for the Python reference, with ``_sweep.lib`` set
+to None.  Then, at n = 16, it prints the ``timeit`` minimum per call, over
 ``--repeat`` rounds of about 2000 calls, of:
 
 * ``solve_angles`` and ``solve_angles_fixed_alpha`` (at alpha = 0), each
@@ -34,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from structnorm import _kernels, angles, jacobi, matrixio, rotations
+from structnorm import _kernels, _sweep, angles, jacobi, matrixio, rotations
 from structnorm.structures import StructureTag, gen_structured
 
 PARTS_N = 16  # half-dimension at which the parts of a visit are timed
@@ -56,6 +58,15 @@ def sweep_cost(n: int, repeat: int) -> tuple[int, float]:
             pass
         best = min(best, time.perf_counter() - start)
     return sweeps, best
+
+
+def python_sweep_cost(n: int, repeat: int) -> tuple[int, float]:
+    """``sweep_cost`` of the Python reference: the library global set to None."""
+    lib, _sweep.lib = _sweep.lib, None
+    try:
+        return sweep_cost(n, repeat)
+    finally:
+        _sweep.lib = lib
 
 
 def part_costs(n: int, repeat: int, number: int) -> dict[str, float]:
@@ -116,11 +127,19 @@ def main(argv=None) -> int:
     if args.repeat < 1 or min(args.n) < 1:
         parser.error("--n and --repeat must be >= 1")
     print(f"kernel backend {_kernels.BACKEND}; numpy {np.__version__}")
+    sweep_cost(1, 1)  # builds the compiled sweep, if it can be, untimed
     for n in args.n:
-        sweeps, best = sweep_cost(n, args.repeat)
-        print(f"n={n}: {best / (sweeps * n * n) * 1e6:.2f} us per visit, "
-              f"{best / sweeps * 1e3:.3f} ms per sweep "
-              f"(best of {args.repeat}, {sweeps} sweeps)")
+        compiled = sweep_cost(n, args.repeat)
+        costs = {"compiled": compiled if _sweep.lib is not None else None,
+                 "python": python_sweep_cost(n, args.repeat)}
+        for path, cost in costs.items():
+            if cost is None:
+                print(f"n={n} {path}: not available")
+                continue
+            sweeps, best = cost
+            print(f"n={n} {path}: {best / (sweeps * n * n) * 1e6:.2f} us per "
+                  f"visit, {best / sweeps * 1e3:.3f} ms per sweep "
+                  f"(best of {args.repeat}, {sweeps} sweeps)")
     for name, seconds in part_costs(PARTS_N, args.repeat, NUMBER).items():
         print(f"n={PARTS_N} {name}: {seconds * 1e6:.3f} us per call")
     for name, seconds in io_costs(IO_N, args.repeat, IO_NUMBER).items():
