@@ -13,8 +13,8 @@ accumulates Z, once as each sweep ends (also when it ends in an error).
 Per plane, the similarity is two calls of LAPACK ``zrot`` (x <- c*x + s*y,
 y <- c*y - conj(s)*x), on rows p, q with s and then on columns p, q with
 conj(s); ``rotate_cols`` is the column call alone.  Both go through
-``_zrot_planes``, which checks the matrix and every plane before it writes,
-then pins the matrix once for all the calls.  The routine is
+``_zrot_planes``, which pins the matrix once for all the calls and checks
+every plane before it writes.  The routine is
 ``scipy_zrot_64_`` of the ILP64 OpenBLAS that numpy bundles, found through
 ctypes on the handle of ``numpy.linalg._umath_linalg`` (dlsym also searches
 the libraries it loaded), so scipy is never imported.  Each call picks its
@@ -35,8 +35,10 @@ attributes at call time; neither similarity kernel calls the attribute
 
 ``zrot`` has a third caller: the compiled sweep (``_sweep.c``) takes the
 address of ``_zrot`` and makes, from C, the same row and column calls per
-plane as ``_zrot_planes``, for the iterate and for Z.  It runs only while
-``plane_similarity``, ``rotate_cols`` and ``_zrot`` are still this module's.
+plane as ``_zrot_planes``, for the iterate and for Z.  :func:`pin` is the one
+test of which matrices a raw pointer may serve, for both; ``jacobi._OWN``
+lists ``plane_similarity``, ``rotate_cols`` and ``_zrot`` among the bindings
+that, once replaced, keep a sweep in Python.
 """
 from __future__ import annotations
 
@@ -113,17 +115,27 @@ _complex = struct.Struct("=2d").pack
 _ONE = _int64(1)
 
 
+def pin(a):
+    """The buffer that pins ``a`` for its raw pointer, where ``a`` is a
+    writable, C-contiguous, square complex128 matrix; None otherwise."""
+    if a.dtype != _COMPLEX128 or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return None
+    try:
+        return ctypes.c_char.from_buffer(a)
+    except (TypeError, ValueError):  # read-only, not C-contiguous, or empty
+        return None
+
+
 def _zrot_planes(a, planes, rows):
     """Apply the planes by zrot, the row call (if rows) then the column call
     of each in order; False, having written nothing, where the raw pointers
     cannot serve every plane, or zrot was not found."""
-    if _zrot is None:
+    buf = None if _zrot is None else pin(a)
+    if buf is None:
         return False
+    m = a.shape[0]
     args = []  # per plane: p, q, and packed c, s (if rows) and conj(s)
     try:  # every plane is checked before the first is applied
-        if a.dtype != _COMPLEX128 or a.ndim != 2 or a.shape[0] != a.shape[1]:
-            return False
-        m = a.shape[0]
         for p, q, c, s in planes:  # ValueError: not four items
             p, q = index(p), index(q)  # TypeError: not an integer, like 2.0
             if not (0 <= p < m and 0 <= q < m and p != q):
@@ -131,7 +143,6 @@ def _zrot_planes(a, planes, rows):
             re, im = s.real, s.imag
             args.append((p, q, _double(c), _complex(re, im) if rows else None,
                          _complex(re, -im)))  # struct.error: c is not real
-        buf = ctypes.c_char.from_buffer(a)  # TypeError: read-only, or not C-contiguous
     except (TypeError, ValueError, struct.error):
         return False
     base, dim, row = ctypes.addressof(buf), _int64(m), 16 * m  # buf pins a

@@ -1,15 +1,17 @@
 """The compiled sweep: ``_sweep.c``, built on first use and called by ctypes.
 
 ``jacobi.sweep_once`` hands a sweep to :func:`run` when the trace and the eta
-rule are off and every name its Python body reaches is still the library's
-own.  The C follows that body statement for statement and calls the same
-``zrot`` as ``_kernels``, so it leaves the same bits; the Python body stays
-the reference, and runs wherever :func:`run` returns None.
+rule are off and no binding of ``jacobi._OWN`` was replaced, with the solve's
+pivot list as :func:`pivot_codes`.  The C follows the Python body statement
+for statement and calls the same ``zrot`` as ``_kernels``, so it leaves the
+same bits; the Python body stays the reference, and runs wherever
+:func:`run` returns None.
 
 The library is built at the first sweep that can use it, never at import:
 ``gcc`` with ``FLAGS``, into ``__pycache__/`` next to this file, under a name
-keyed by a hash of the source, the flags, the Python version and the CPU's
-flags.  The compiler writes a temporary name that is then renamed, so
+keyed by a hash of the source, the flags, the Python version and the machine
+type.  No flag picks CPU features, so the library runs on any CPU of that
+type.  The compiler writes a temporary name that is then renamed, so
 processes that build at once do not clash, and a lock serializes threads.
 Any failure (no ``gcc``, a failed or timed-out build, a cache that cannot be
 written, a library that does not load, no ``zrot``, or a Python whose
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .rotations import RotationKind, pivot_set
+from .rotations import RotationKind, check_pivot
 
 SOURCE = Path(__file__).with_name("_sweep.c")
 CACHE = SOURCE.parent / "__pycache__"
@@ -41,22 +43,11 @@ BUILD_TIMEOUT_S = 120
 _UNBUILT = object()
 lib = _UNBUILT  # the C sweep once loaded, None where it cannot be
 _lock = allocate_lock()
-_KERNELS = (_kernels.plane_similarity, _kernels.rotate_cols, _kernels._zrot)
 _CODES = {kind: code for code, kind in enumerate(RotationKind)}  # as in the C
-_COMPLEX128 = np.dtype(np.complex128)
 
 
 def _compiler() -> str | None:
     return shutil.which("gcc")
-
-
-def _cpu_flags() -> str:
-    """The CPU's flags line of /proc/cpuinfo, or else the machine's name."""
-    with contextlib.suppress(OSError), open("/proc/cpuinfo", "rb") as fh:
-        for line in fh:
-            if line.startswith((b"flags", b"Features")):
-                return line.decode("ascii", "replace")
-    return platform.machine()
 
 
 def _build() -> Path:
@@ -65,7 +56,7 @@ def _build() -> Path:
     import subprocess
 
     key = hashlib.sha256(SOURCE.read_bytes())
-    for part in (*FLAGS, sys.version, _cpu_flags()):
+    for part in (*FLAGS, sys.version, platform.machine()):
         key.update(part.encode())
     path = CACHE / f"_sweep-{key.hexdigest()[:16]}.so"
     if not path.exists():
@@ -91,7 +82,7 @@ def _load():
     """The C sweep with its argument types and zrot bound, or None."""
     import subprocess
 
-    zrot = _KERNELS[2]
+    zrot = _kernels._zrot
     if (zrot is None or sys.implementation.name != "cpython"
             or sys.version_info >= (3, 14)):  # 3.14 changed complex * float
         return None
@@ -107,32 +98,33 @@ def _load():
     return lambda *args: sweep(address, *args)
 
 
-def pivot_codes(family: str, n: int, ordering: str) -> np.ndarray:
-    """``pivot_set(family, n, ordering)`` as rows (kind code, i, j) of int32."""
-    return np.array([(_CODES[kind], i, j)
-                     for kind, i, j in pivot_set(family, n, ordering)],
-                    dtype=np.int32)
+def pivot_codes(pivots, n: int) -> np.ndarray | None:
+    """The pivots (kind, i, j) as rows (kind code, i, j) of int32; None unless
+    they are n^2, each a pivot of its kind at half-dimension n."""
+    try:
+        codes = np.array([(_CODES[check_pivot(kind, i, j, n)], i, j)
+                          for kind, i, j in pivots], dtype=np.int32)
+    except ValueError:
+        return None
+    return codes if len(codes) == n * n else None
 
 
 def run(a, z, codes, phi_skip):
-    """One sweep of ``a`` and ``z`` in C over the pivot codes.
+    """One sweep of ``a`` and ``z`` in C over the pivot codes of n^2 pivots
+    at half-dimension n.
 
     Returns (visits, sweep gain), the gain None where the angle solve of the
     last visit overflowed; or None, having touched nothing, where the C
-    cannot serve: a kernel name was replaced, ``a`` and ``z`` are not
-    writable, C-contiguous, square complex128 arrays of one shape, or the
-    library cannot be had.
+    cannot serve: ``a`` and ``z`` are not writable, C-contiguous, square
+    complex128 arrays of one shape, the codes are None or do not number n^2
+    for a 2n x 2n ``a`` (so the C never indexes past ``a`` or ``z``), or the
+    library cannot be had.  The caller checks that no binding the sweep
+    reaches was replaced.
     """
     global lib
-    if (_kernels.plane_similarity is not _KERNELS[0]
-            or _kernels.rotate_cols is not _KERNELS[1]
-            or _kernels._zrot is not _KERNELS[2]
-            or a.dtype != _COMPLEX128 or z.dtype != _COMPLEX128
-            or a.ndim != 2 or a.shape[0] != a.shape[1] or z.shape != a.shape):
-        return None
-    try:  # the buffers pin a and z
-        abuf, zbuf = ctypes.c_char.from_buffer(a), ctypes.c_char.from_buffer(z)
-    except (TypeError, ValueError):  # read-only, not C-contiguous, or empty
+    abuf, zbuf = _kernels.pin(a), _kernels.pin(z)  # the buffers pin a and z
+    if (abuf is None or zbuf is None or z.shape != a.shape or codes is None
+            or len(codes) != (a.shape[0] // 2) ** 2):
         return None
     if lib is _UNBUILT:
         with _lock:

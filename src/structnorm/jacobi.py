@@ -23,7 +23,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from . import _sweep
+from . import _kernels, _sweep
 from .angles import solve_angles, solve_angles_fixed_alpha
 from .gradient import pivot_gain, should_skip, tangent_gradient
 from .rotations import _ORDERINGS, apply_right, apply_similarity, pivot_set, planes
@@ -32,12 +32,14 @@ from .structures import (StructureTag, check_structure, diag_norm_sq,
 
 PHI_SKIP = 1e-15  # rotations this small are recorded but not applied
 
-# the names the Python sweep reaches: the compiled sweep stands in for it
-# only while each is still the library's own (the tracer replaces them)
-_GLOBALS = globals()
-_OWN = tuple((name, _GLOBALS[name]) for name in (
-    "pivot_set", "solve_angles", "solve_angles_fixed_alpha", "planes",
-    "apply_similarity", "apply_right"))
+# every binding the Python sweep reaches, as (namespace, name, the library's
+# own): the compiled sweep stands in for it only while each is still the
+# library's own (the tracer replaces them)
+_OWN = tuple((names, name, names[name]) for names, listed in (
+    (globals(), ("solve_angles", "solve_angles_fixed_alpha", "planes",
+                 "apply_similarity", "apply_right")),
+    (vars(_kernels), ("plane_similarity", "rotate_cols", "_zrot")))
+    for name in listed)
 
 
 class StructureError(ValueError):
@@ -78,17 +80,18 @@ TraceRecord = namedtuple("TraceRecord", "sweep step kind i j phi alpha "
 
 @dataclass
 class JacobiState:
-    """Current iterate A_k = Z_k^H A_0 Z_k and the accumulated Z_k."""
+    """Current iterate A_k = Z_k^H A_0 Z_k and the accumulated Z_k, with the
+    pivot list that every sweep walks, laid out once per solve."""
 
     a: np.ndarray
     z: np.ndarray
+    pivots: list = field(repr=False)  # (kind, i, j) of each visit, in order
     sweep: int = 0
     step: int = 0
     sweep_gain: float = 0.0  # diagonal weight gained by the last sweep
     trace: list[TraceRecord] = field(default_factory=list)
-    # ((family, n, ordering), its pivot codes), built at the first compiled
-    # sweep for them
-    pivots: tuple | None = field(default=None, repr=False, compare=False)
+    # the pivots as ``_sweep.pivot_codes``, made at the first compiled sweep
+    codes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -171,7 +174,7 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
     is the reference, and runs in every other case.
     """
     a = state.a
-    sweep_gain = _compiled_sweep(state, tag, config)
+    sweep_gain = _compiled_sweep(state, config)
     if sweep_gain is None:
         sweep_gain = _python_sweep(state, tag, config)
     if not np.vdot(a, a).real < np.inf and not np.isfinite(a).all():
@@ -181,18 +184,18 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
     return state
 
 
-def _compiled_sweep(state, tag, config):
-    """The sweep run by ``_sweep``, its gain; None, with nothing done, where
-    the trace or the eta rule is on, a name of ``_OWN`` was replaced, or
-    ``_sweep.run`` cannot serve.  Z takes each applied rotation's planes as
-    it is applied, in the order of ``_python_sweep``'s one call."""
+def _compiled_sweep(state, config):
+    """The sweep run by ``_sweep`` over ``state.pivots``, its gain; None, with
+    nothing done, where the trace or the eta rule is on, a binding of
+    ``_OWN`` was replaced, or ``_sweep`` refuses the pivots or the arrays.
+    Z takes each applied rotation's planes as it is applied, in the order of
+    ``_python_sweep``'s one call."""
     if (config.trace or config.skip_rule
-            or any(_GLOBALS[name] is not fn for name, fn in _OWN)):
+            or any(names[name] is not own for names, name, own in _OWN)):
         return None
-    key = (tag.family, state.a.shape[0] // 2, config.ordering)
-    if state.pivots is None or state.pivots[0] != key:
-        state.pivots = key, _sweep.pivot_codes(*key)
-    done = _sweep.run(state.a, state.z, state.pivots[1], PHI_SKIP)
+    if state.codes is None:
+        state.codes = _sweep.pivot_codes(state.pivots, state.a.shape[0] // 2)
+    done = _sweep.run(state.a, state.z, state.codes, PHI_SKIP)
     if done is None:
         return None
     visits, sweep_gain = done
@@ -203,7 +206,7 @@ def _compiled_sweep(state, tag, config):
 
 
 def _python_sweep(state, tag, config):
-    """The sweep in Python, visit by visit; its gain."""
+    """The sweep in Python, visit by visit over ``state.pivots``; its gain."""
     a, z = state.a, state.z
     n = a.shape[0] // 2
     sweep_gain = 0.0
@@ -213,7 +216,7 @@ def _python_sweep(state, tag, config):
 
     applied = []  # the applied planes, accumulated into Z as the sweep ends
     try:
-        for kind, i, j in pivot_set(tag.family, n, config.ordering):
+        for kind, i, j in state.pivots:
             state.step += 1
             phi, alpha, skipped = 0.0, 0.0, True
             if not (config.skip_rule and should_skip(
@@ -257,14 +260,15 @@ def iterate(a: np.ndarray, tag: StructureTag,
             config: SolverConfig) -> Iterator[JacobiState]:
     """Sweep a copy of A from Z = I, yielding the state after each sweep.
 
-    The tag and A are checked at the call; at most ``config.max_sweeps``
-    sweeps run (leave the loop to stop early), each updating the one yielded
-    state in place.
+    The tag and A are checked, and the pivot list laid out, at the call; at
+    most ``config.max_sweeps`` sweeps run (leave the loop to stop early),
+    each updating the one yielded state in place.
     """
     _check_tag(tag)
     a = np.array(a, dtype=np.complex128, order="C")
     _check_input(a)
-    state = JacobiState(a=a, z=np.eye(len(a), dtype=np.complex128))
+    state = JacobiState(a=a, z=np.eye(len(a), dtype=np.complex128),
+                        pivots=pivot_set(tag.family, len(a) // 2, config.ordering))
     return (sweep_once(state, tag, config) for _ in range(config.max_sweeps))
 
 

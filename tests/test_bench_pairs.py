@@ -82,7 +82,7 @@ def test_json_record_and_held_out(monkeypatch, tmp_path, capsys):
     change = _change_tree(tmp_path)
     calls = []  # (side, seed, result) of each run, in order
 
-    def run_once(tree, workload, seed, seconds):
+    def run_once(tree, workload, seed, seconds, pycache):
         # the change is 20 % faster on solve_s_p50, the same elsewhere;
         # values rise with each call so every quartile differs
         side = "change" if tree == change else "parent"
@@ -148,3 +148,38 @@ def test_held_out_needs_an_existing_record(tmp_path, capsys):
                           "--json", str(tmp_path / "missing.json"), "--held-out"])
     assert info.value.code == 2
     assert "--held-out needs --json" in capsys.readouterr().err
+
+
+def test_each_tree_runs_with_a_byte_code_prefix_of_its_own(monkeypatch,
+                                                           tmp_path):
+    # a stale or missing __pycache__ in one tree must not move its setup_s
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    change = _change_tree(tmp_path)
+    line = json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                       "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]}
+                                   for m in spec["end_to_end"]}})
+    prefixes = []  # (tree, prefix, whether it was a fresh directory)
+
+    def run(args, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        assert "PYTHONDONTWRITEBYTECODE" not in env  # the first run fills it
+        fresh = not prefix.exists() and prefix.parent.is_dir()
+        prefixes.append((cwd, prefix, fresh))
+        prefix.mkdir(exist_ok=True)  # where Python writes the byte code
+        return subprocess.CompletedProcess(args, 0, stdout=line + "\n",
+                                           stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_pairs.main([str(ROOT), str(change), "--workload", "figures",
+                             "--pairs", "3"]) == 0
+    by_tree = {}
+    for tree, prefix, _ in prefixes:
+        by_tree.setdefault(tree, set()).add(prefix)
+    assert by_tree.keys() == {ROOT, change}
+    assert all(len(prefix) == 1 for prefix in by_tree.values())
+    (parent,), (changed,) = by_tree.values()
+    assert parent != changed and parent.parent == changed.parent
+    # each prefix is empty for the first run, and gone after the session
+    assert [fresh for _, _, fresh in prefixes] == [True] * 2 + [False] * 4
+    assert not parent.parent.exists()

@@ -73,6 +73,27 @@ def test_code_lines_leave_out_blank_comment_and_docstring_lines():
     # import, class, def area, text (two lines), return (two lines),
     # async def, return
     assert tool.count_code_lines(_EVERY_KIND_OF_LINE) == 9
+    # C: include, x (two lines), y after a comment, url with its string,
+    # f's first line, return
+    assert tool.count_c_code_lines(_EVERY_KIND_OF_C_LINE) == 7
+    assert tool.count_c_code_lines(
+        _EVERY_KIND_OF_C_LINE.replace(b"\n", b"\r\n")) == 7
+
+
+_EVERY_KIND_OF_C_LINE = b'''/* A block comment
+ * over three lines. */
+#include <math.h>  // a comment after code
+
+// a comment alone
+static const double x = 1.0 /* a comment inside */
+    + 2.0;
+/* a comment before code */ int y = '/';
+   \t
+static const char *url = "http://a/*b*/";
+int f(void) { /* a comment
+                 that ends with no code after it */
+    return 0; }
+'''
 
 
 def test_one_ulp_in_rotate_cols_is_caught(tmp_path):

@@ -683,7 +683,7 @@ def test_the_compiled_sweep_is_bitwise_the_python_sweep(compiled, tag, n, seed,
 
 
 GUARDED = ([(jacobi, name) for name in (
-    "pivot_set", "solve_angles", "solve_angles_fixed_alpha", "planes",
+    "solve_angles", "solve_angles_fixed_alpha", "planes",
     "apply_similarity", "apply_right")]
     + [(_kernels, name) for name in ("plane_similarity", "rotate_cols", "_zrot")])
 
@@ -710,6 +710,89 @@ def test_a_replaced_binding_runs_the_python_body(compiled, module, name):
     assert ran == [1, 2, 3]
     assert got == want
     assert (calls == []) == (name == "lib")
+
+
+def test_the_guarded_bindings_are_the_ones_own_lists():
+    assert [(names, name) for names, name, _ in jacobi._OWN] == [
+        (vars(module), name) for module, name in GUARDED]
+
+
+def test_a_replaced_pivot_set_is_called_once_and_feeds_both_sweeps(
+        compiled, monkeypatch):
+    # the stand-in lays out the O2 list under an O1 config: both sweeps walk
+    # the list that iterate laid out, so both end as an O2 run does
+    tag = sn.StructureTag.SKEW_HAMILTONIAN
+    a = sn.gen_structured(tag, 4, 11)
+    config = sn.SolverConfig(max_sweeps=3, trace=False)
+    want, ran = _sweeps(a, tag, dataclasses.replace(config, ordering="O2"))
+    assert ran == [] and _sweeps(a, tag, config)[0] != want  # O1 ends elsewhere
+    calls = []
+
+    def o2_pivot_set(family, n, ordering):
+        calls.append((family, n, ordering))
+        return sn.pivot_set(family, n, "O2")
+
+    monkeypatch.setattr(jacobi, "pivot_set", o2_pivot_set)
+    got, ran = _sweeps(a, tag, config)
+    assert ran == [] and got == want
+    assert calls == [(tag.family, 4, "O1")]
+    monkeypatch.setattr(_sweep, "lib", None)
+    got, ran = _sweeps(a, tag, config)
+    assert ran == [1, 2, 3] and got == want
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("edit", ["short", "off the set"])
+def test_a_pivot_list_the_codes_refuse_runs_the_python_body(compiled,
+                                                           monkeypatch, edit):
+    # the C takes only n^2 pivots, each a pivot of its kind at the solve's n,
+    # so it never indexes past A, whatever a replaced pivot_set lays out
+    tag = sn.StructureTag.HAMILTONIAN
+    listed = sn.pivot_set(tag.family, 3)
+    kind, i, _ = listed[-1]
+    pivots = listed[:-1] + ([] if edit == "short" else [(kind, i, 99)])
+    monkeypatch.setattr(jacobi, "pivot_set", lambda *args: pivots)
+    ran = _count_python_sweeps(monkeypatch)
+    states = sn.iterate(sn.gen_structured(tag, 3, 14), tag,
+                        sn.SolverConfig(max_sweeps=2, trace=False))
+    if edit == "short":
+        assert [state.step for state in states] == [8, 16]
+        assert ran == [1, 2]
+    else:
+        with pytest.raises(IndexError):
+            next(states)
+        assert ran == [1]
+
+
+def _resized_run(swap):
+    """The step, A, Z and sweep gain after an iterate whose A and Z are
+    replaced by a copy of ``swap`` and I after its first sweep, or the
+    exception it raised, named with its message."""
+    tag = sn.StructureTag.PER_HERMITIAN
+    states = sn.iterate(sn.gen_structured(tag, 3, 12), tag,
+                        sn.SolverConfig(max_sweeps=3, trace=False))
+    state = next(states)
+    state.a = np.array(swap, dtype=np.complex128)
+    state.z = np.eye(len(swap), dtype=np.complex128)
+    try:
+        for state in states:
+            pass
+    except Exception as exc:  # whichever it is, both paths must raise it
+        return type(exc), str(exc)
+    return state.step, state.a.tobytes(), state.z.tobytes(), state.sweep_gain
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_an_iterate_resized_between_sweeps_ends_alike_on_both_paths(
+        compiled, monkeypatch, n):
+    # the pivot list is laid out for n = 3: the C never takes a pair of
+    # another size, whose A it would index past (n = 2) or sweep in part
+    swap = sn.gen_structured(sn.StructureTag.PER_HERMITIAN, n, 13)
+    ran = _count_python_sweeps(monkeypatch)
+    got = _resized_run(swap)
+    assert ran == [2]  # the pair of another size went to Python
+    monkeypatch.setattr(_sweep, "lib", None)
+    assert _resized_run(swap) == got
 
 
 def test_a_fortran_ordered_iterate_runs_the_python_body(compiled, monkeypatch):

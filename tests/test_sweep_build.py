@@ -41,6 +41,56 @@ def test_the_source_compiles_without_warnings(tmp_path):
     assert out.stat().st_size > 0
 
 
+def _libasan():
+    """The path of gcc's libasan.so, or None without gcc or libasan."""
+    if shutil.which("gcc") is None:
+        return None
+    path = subprocess.run(["gcc", "-print-file-name=libasan.so"],
+                          capture_output=True, text=True, timeout=60).stdout.strip()
+    return path if os.path.isabs(path) and os.path.exists(path) else None
+
+
+# trace-off sweeps of every tag and both orderings, each of which must run
+# in C: the Python body is replaced by one that fails
+_SWEEP_EVERY_TAG = """\
+import sys
+from pathlib import Path
+import structnorm as sn
+from structnorm import _sweep, jacobi
+_sweep._build = lambda: Path(sys.argv[1])
+
+def python_sweep(*args):
+    raise AssertionError("a sweep ran in Python")
+
+jacobi._python_sweep = python_sweep
+sweeps = 0
+for tag in sn.StructureTag:
+    for n in (1, 2, 5, 16):
+        for ordering in ("O1", "O2"):
+            config = sn.SolverConfig(ordering=ordering, max_sweeps=3,
+                                     trace=False)
+            for state in sn.iterate(sn.gen_structured(tag, n, n), tag, config):
+                sweeps += 1
+print(sweeps, "sweeps in C")
+"""
+
+
+@pytest.mark.skipif(_libasan() is None, reason="no gcc or no libasan")
+def test_the_sweep_runs_clean_under_address_and_undefined_sanitizers(tmp_path):
+    out = tmp_path / "sweep-asan.so"
+    done = subprocess.run(
+        ["gcc", *_sweep.FLAGS, "-fsanitize=address,undefined",
+         "-fno-sanitize-recover=all", "-o", str(out), str(_sweep.SOURCE), "-lm"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    env = {**os.environ, "PYTHONPATH": str(SRC), "LD_PRELOAD": _libasan(),
+           "ASAN_OPTIONS": "detect_leaks=0"}
+    done = subprocess.run([sys.executable, "-c", _SWEEP_EVERY_TAG, str(out)],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert done.returncode == 0, done.stderr[-4000:]
+    assert done.stdout == f"{len(list(sn.StructureTag)) * 4 * 2 * 3} sweeps in C\n"
+
+
 def _fail_run(error):
     def run(*args, **kwargs):
         raise error

@@ -14,10 +14,13 @@ def test_tiny_run_prints_every_n_and_every_part(capsys):
     assert visit_cost.main(["--n", "2,3", "--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("kernel backend ")
+    assert lines[0].endswith("; each time raw / calibrated (x host_factor() of "
+                             "perfbench/calibration.py)")
     paths = ["compiled", "python"]
     for line, (n, path) in zip(lines[1:5], [(n, path) for n in (2, 3)
                                             for path in paths]):
-        cost = (r"\S+ us per visit, \S+ ms per sweep \(best of 1, 3 sweeps\)"
+        cost = (r"\S+ / \S+ us per visit, \S+ / \S+ ms per sweep "
+                r"\(best of 1, 3 sweeps\)"
                 if _sweep.lib is not None or path == "python"
                 else "not available")
         assert re.fullmatch(rf"n={n} {path}: {cost}", line)
@@ -28,6 +31,7 @@ def test_tiny_run_prints_every_n_and_every_part(capsys):
     for line in lines[1:]:
         if line.endswith("not available"):
             continue
-        assert float(re.search(r": (\S+) [um]s", line).group(1)) > 0
+        raw, calibrated = re.search(r": (\S+) / (\S+) [um]s", line).groups()
+        assert float(raw) > 0 and float(calibrated) > 0
     for line in lines[-2:]:
         assert line.endswith(" ms per call")

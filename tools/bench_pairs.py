@@ -10,7 +10,12 @@ one untraced run (``perfbench/run.py --trace 0``) of each tree's own
 benchmark, in a fresh subprocess with the tree as its working directory;
 the parent runs first in odd pairs and the change in even ones.  Both trees
 must hold identical ``perfbench/`` directories and ``BENCHMARK.json``, or
-nothing runs.
+nothing runs.  Each tree's runs write and read their byte code (numpy's and
+the standard library's too) under a ``PYTHONPYCACHEPREFIX`` of that tree's
+own, made empty for the session and removed after it, with
+``PYTHONDONTWRITEBYTECODE`` unset so that the tree's first run fills it; so a
+tree's stale or missing ``__pycache__/*.pyc`` does not move its
+``setup_s``, and only each tree's first run imports from source.
 
 Each run's JSON result line is printed as it completes.  For every
 end-to-end metric in ``BENCHMARK.json`` the report then gives both
@@ -52,6 +57,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from importlib import metadata
 from pathlib import Path
 
@@ -91,10 +97,14 @@ def run_args(workload: str, seed: int, seconds: float) -> list[str]:
             "--seconds", f"{seconds:g}", "--trace", "0"]
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last JSON line of one untraced run of ``tree``'s benchmark."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             pycache: Path) -> dict:
+    """The last JSON line of one untraced run of ``tree``'s benchmark, its
+    byte code read from and written to ``pycache``."""
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     proc = subprocess.run([sys.executable, *run_args(workload, seed, seconds)],
-                          cwd=tree, capture_output=True, text=True)
+                          cwd=tree, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         raise PairsError(f"{tree}: perfbench/run.py exited {proc.returncode}\n"
                          + proc.stderr[-2000:])
@@ -171,14 +181,16 @@ def main(argv=None) -> int:
         spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text(
             encoding="utf-8"))
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for k in range(args.pairs):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run_once(trees[side], args.workload, args.seed,
-                                  args.seconds)
-                runs[side].append(result)
-                print(f"pair {k + 1}/{args.pairs} {side}: {json.dumps(result)}",
-                      flush=True)
+        with tempfile.TemporaryDirectory(prefix="bench-pairs-") as pycache:
+            for k in range(args.pairs):
+                order = (("parent", "change") if k % 2 == 0
+                         else ("change", "parent"))
+                for side in order:
+                    result = run_once(trees[side], args.workload, args.seed,
+                                      args.seconds, Path(pycache) / side)
+                    runs[side].append(result)
+                    print(f"pair {k + 1}/{args.pairs} {side}: "
+                          f"{json.dumps(result)}", flush=True)
     except PairsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

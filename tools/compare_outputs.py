@@ -18,7 +18,9 @@ lines``, gives each tree's count of lines in ``src/structnorm/**/*.py`` (as
 comment nor part of a docstring), the size that a change which simplifies
 should bring down.  Before it comes one such line for each module whose
 counts differ, named by its path in the tree (0 for a module that a tree
-lacks).  The exit status is 0 when both trees give the same
+lacks); the C sources ``src/structnorm/**/*.c`` get such lines too, their
+code lines holding more than whitespace and ``/* */`` or ``//`` comments,
+but stay out of the total.  The exit status is 0 when both trees give the same
 hashes and the same failed checks for every operation, 1 when any differ,
 and 2 when a tree cannot be run.
 """
@@ -30,6 +32,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -67,14 +70,30 @@ def count_code_lines(source: bytes) -> int:
     return len(lines)
 
 
+# a C string or character literal, kept; or a comment, which is dropped
+_C_TOKEN = re.compile(rb'"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\''
+                      rb'|//[^\n]*|/\*.*?\*/', re.DOTALL)
+
+
+def count_c_code_lines(source: bytes) -> int:
+    """Lines of C ``source`` that hold more than whitespace and ``/* */`` or
+    ``//`` comments."""
+    code = _C_TOKEN.sub(lambda m: m[0] if m[0][:1] in b"\"'"
+                        else b"\n" * m[0].count(b"\n"), source)
+    return sum(1 for line in code.split(b"\n") if line.strip())
+
+
 def count_lines(tree: Path) -> dict[str, tuple[int, int]]:
-    """Per module of the tree's ``src/structnorm/**/*.py``, by its path in the
-    tree: its newlines, as ``wc -l`` counts, and its code lines."""
+    """Per module of the tree's ``src/structnorm/**/*.py`` and ``**/*.c``, by
+    its path in the tree: its newlines, as ``wc -l`` counts, and its code
+    lines."""
     sizes = {}
-    for path in (tree / "src" / "structnorm").rglob("*.py"):
-        source = path.read_bytes()
-        sizes[path.relative_to(tree).as_posix()] = (source.count(b"\n"),
-                                                    count_code_lines(source))
+    for pattern, count in (("*.py", count_code_lines),
+                           ("*.c", count_c_code_lines)):
+        for path in (tree / "src" / "structnorm").rglob(pattern):
+            source = path.read_bytes()
+            sizes[path.relative_to(tree).as_posix()] = (source.count(b"\n"),
+                                                        count(source))
     return sizes
 
 
@@ -167,8 +186,9 @@ def main(argv=None) -> int:
         a, b = (size.get(path, (0, 0)) for size in sizes)
         if a != b:
             print(_size_line(path, a, b))
-    totals = [(sum(lines for lines, _ in size.values()),
-               sum(code for _, code in size.values())) for size in sizes]
+    totals = [(sum(size[path][0] for path in size if path.endswith(".py")),
+               sum(size[path][1] for path in size if path.endswith(".py")))
+              for size in sizes]
     print(_size_line("src/structnorm", *totals))
     print(f"{len(runs[0])} operations, {differ} differ, "
           f"{failed[0]} failed on A, {failed[1]} failed on B")

@@ -23,12 +23,16 @@ prints the ``timeit`` minimum per call, in ms, over ``--repeat`` rounds of
 10 calls, of ``matrixio.read_matrix`` and ``matrixio.write_matrix`` on a
 ``gen_structured(HAMILTONIAN, 48, 0)`` file in a temporary directory.
 
-Nothing here is calibrated: compare two trees only within one session on one
-machine, alternating the runs.
+Each time is printed raw, then calibrated: the best time multiplied by
+``host_factor()`` of ``perfbench/calibration.py``, taken just before that
+time was measured, which cancels most of the speed changes of a shared host
+(the first line says so).  Still compare two trees only within one session on
+one machine, alternating the runs.
 """
 from __future__ import annotations
 
 import argparse
+import sys
 import tempfile
 import time
 import timeit
@@ -39,28 +43,43 @@ import numpy as np
 from structnorm import _kernels, _sweep, angles, jacobi, matrixio, rotations
 from structnorm.structures import StructureTag, gen_structured
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from calibration import host_factor  # noqa: E402
+
 PARTS_N = 16  # half-dimension at which the parts of a visit are timed
 NUMBER = 2000  # calls per timeit round of each part
 IO_N = 48  # half-dimension at which a matrix file is read and written
 IO_NUMBER = 10  # calls per timeit round of each I/O function
 
 
-def sweep_cost(n: int, repeat: int) -> tuple[int, float]:
-    """(sweeps, best seconds) of ``iterate`` from gen_structured(HAMILTONIAN,
-    n, 0), trace off."""
+def best_of(repeat: int, measure) -> tuple[float, float]:
+    """(best seconds, calibrated) of ``repeat`` calls of ``measure``: the best
+    time, and it multiplied by the host factor taken just before it."""
+    runs = []
+    for _ in range(repeat):
+        factor = host_factor()
+        runs.append((measure(), factor))
+    best, factor = min(runs)
+    return best, best * factor
+
+
+def sweep_cost(n: int, repeat: int) -> tuple[int, tuple[float, float]]:
+    """(sweeps, ``best_of`` seconds) of ``iterate`` from
+    gen_structured(HAMILTONIAN, n, 0), trace off."""
     a = gen_structured(StructureTag.HAMILTONIAN, n, 0)
     sweeps = 2 if n >= 48 else 3
     config = jacobi.SolverConfig(max_sweeps=sweeps, trace=False)
-    best = float("inf")
-    for _ in range(repeat):
+
+    def measure():
         start = time.perf_counter()
         for _ in jacobi.iterate(a, StructureTag.HAMILTONIAN, config):
             pass
-        best = min(best, time.perf_counter() - start)
-    return sweeps, best
+        return time.perf_counter() - start
+
+    return sweeps, best_of(repeat, measure)
 
 
-def python_sweep_cost(n: int, repeat: int) -> tuple[int, float]:
+def python_sweep_cost(n: int, repeat: int) -> tuple[int, tuple[float, float]]:
     """``sweep_cost`` of the Python reference: the library global set to None."""
     lib, _sweep.lib = _sweep.lib, None
     try:
@@ -69,9 +88,10 @@ def python_sweep_cost(n: int, repeat: int) -> tuple[int, float]:
         _sweep.lib = lib
 
 
-def part_costs(n: int, repeat: int, number: int) -> dict[str, float]:
-    """Seconds per call of each part of a visit, timeit minima over rounds of
-    about ``number`` calls (whole passes over the pivots)."""
+def part_costs(n: int, repeat: int, number: int) -> dict[str, tuple[float, float]]:
+    """Seconds per call of each part of a visit, raw and calibrated, best of
+    ``repeat`` timeit rounds of about ``number`` calls (whole passes over the
+    pivots)."""
     a = gen_structured(StructureTag.HAMILTONIAN, n, 0)
     pivots = rotations.pivot_set(StructureTag.HAMILTONIAN.family, n)
     entries = [(a.item(i - 1, i - 1), a.item(i - 1, j - 1),
@@ -96,24 +116,24 @@ def part_costs(n: int, repeat: int, number: int) -> dict[str, float]:
     costs = {}
     for name, (statement, calls) in statements.items():
         passes = max(1, number // calls)
-        best = min(timeit.repeat(statement, number=passes, repeat=repeat,
-                                 globals=names))
-        costs[name] = best / (passes * calls)
+        timer = timeit.Timer(statement, globals=names)
+        costs[name] = tuple(t / (passes * calls) for t in best_of(
+            repeat, lambda: timer.timeit(passes)))
     return costs
 
 
-def io_costs(n: int, repeat: int, number: int) -> dict[str, float]:
+def io_costs(n: int, repeat: int, number: int) -> dict[str, tuple[float, float]]:
     """Seconds per call of ``read_matrix`` and ``write_matrix`` on the file of
-    gen_structured(HAMILTONIAN, n, 0), timeit minima over rounds of
-    ``number`` calls."""
+    gen_structured(HAMILTONIAN, n, 0), raw and calibrated, best of ``repeat``
+    timeit rounds of ``number`` calls."""
     a = gen_structured(StructureTag.HAMILTONIAN, n, 0)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a.mat"
         matrixio.write_matrix(path, a)
         calls = {"read_matrix": lambda: matrixio.read_matrix(path),
                  "write_matrix": lambda: matrixio.write_matrix(path, a)}
-        return {name: min(timeit.repeat(call, number=number,
-                                        repeat=repeat)) / number
+        return {name: tuple(t / number for t in best_of(
+                    repeat, lambda: timeit.Timer(call).timeit(number)))
                 for name, call in calls.items()}
 
 
@@ -126,7 +146,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1 or min(args.n) < 1:
         parser.error("--n and --repeat must be >= 1")
-    print(f"kernel backend {_kernels.BACKEND}; numpy {np.__version__}")
+    print(f"kernel backend {_kernels.BACKEND}; numpy {np.__version__}; each "
+          f"time raw / calibrated (x host_factor() of perfbench/calibration.py)")
     sweep_cost(1, 1)  # builds the compiled sweep, if it can be, untimed
     for n in args.n:
         compiled = sweep_cost(n, args.repeat)
@@ -136,14 +157,19 @@ def main(argv=None) -> int:
             if cost is None:
                 print(f"n={n} {path}: not available")
                 continue
-            sweeps, best = cost
-            print(f"n={n} {path}: {best / (sweeps * n * n) * 1e6:.2f} us per "
-                  f"visit, {best / sweeps * 1e3:.3f} ms per sweep "
-                  f"(best of {args.repeat}, {sweeps} sweeps)")
-    for name, seconds in part_costs(PARTS_N, args.repeat, NUMBER).items():
-        print(f"n={PARTS_N} {name}: {seconds * 1e6:.3f} us per call")
-    for name, seconds in io_costs(IO_N, args.repeat, IO_NUMBER).items():
-        print(f"n={IO_N} {name}: {seconds * 1e3:.3f} ms per call")
+            sweeps, (raw, calibrated) = cost
+            visit, sweep = 1e6 / (sweeps * n * n), 1e3 / sweeps
+            print(f"n={n} {path}: {raw * visit:.2f} / {calibrated * visit:.2f} "
+                  f"us per visit, {raw * sweep:.3f} / {calibrated * sweep:.3f} "
+                  f"ms per sweep (best of {args.repeat}, {sweeps} sweeps)")
+    for name, (raw, calibrated) in part_costs(PARTS_N, args.repeat,
+                                              NUMBER).items():
+        print(f"n={PARTS_N} {name}: {raw * 1e6:.3f} / {calibrated * 1e6:.3f} "
+              f"us per call")
+    for name, (raw, calibrated) in io_costs(IO_N, args.repeat,
+                                            IO_NUMBER).items():
+        print(f"n={IO_N} {name}: {raw * 1e3:.3f} / {calibrated * 1e3:.3f} "
+              f"ms per call")
     return 0
 
 
