@@ -1,11 +1,14 @@
 """The compiled sweep: ``_sweep.c``, built on first use and called by ctypes.
 
-``jacobi.sweep_once`` hands a sweep to :func:`run` when the trace and the eta
-rule are off and no binding of ``jacobi._OWN`` was replaced, with the solve's
-pivot list as :func:`pivot_codes`.  The C follows the Python body statement
-for statement and calls the same ``zrot`` as ``_kernels``, so it leaves the
-same bits; the Python body stays the reference, and runs wherever
-:func:`run` returns None.
+``jacobi.sweep_once`` hands a sweep to :func:`run` when the eta rule is off
+and no binding of ``jacobi._OWN`` was replaced, with the solve's pivot list
+as :func:`pivot_codes`.  The C follows the Python body statement for
+statement and calls the same ``zrot`` as ``_kernels``, so it leaves the same
+bits; with the trace on it fills one row per visit, its weights summed by
+the OpenBLAS ``zdotc`` that ``numpy.vdot`` calls, on the operands that
+``structures.diag_norm_sq`` and ``offdiag_norm_sq`` hand it, so they are the
+Python body's bits too.  The Python body stays the reference, and runs
+wherever :func:`run` returns None.
 
 The library is built at the first sweep that can use it, never at import:
 ``gcc`` with ``FLAGS``, into ``__pycache__/`` next to this file, under a name
@@ -14,9 +17,9 @@ type.  No flag picks CPU features, so the library runs on any CPU of that
 type.  The compiler writes a temporary name that is then renamed, so
 processes that build at once do not clash, and a lock serializes threads.
 Any failure (no ``gcc``, a failed or timed-out build, a cache that cannot be
-written, a library that does not load, no ``zrot``, or a Python whose
-complex * float is not CPython 3.10-3.13's) sets ``lib`` to None, with no
-error and no warning, and every sweep runs in Python.
+written, a library that does not load, no ``zrot`` or ``zdotc``, or a Python
+whose complex * float is not CPython 3.10-3.13's) sets ``lib`` to None, with
+no error and no warning, and every sweep runs in Python.
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ from _thread import allocate_lock  # threading.Lock, without importing threading
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import _kernels
 from .rotations import RotationKind, check_pivot
@@ -79,7 +83,7 @@ def _build() -> Path:
 
 
 def _load():
-    """The C sweep with its argument types and zrot bound, or None."""
+    """The C sweep with its argument types, zrot and zdotc bound, or None."""
     import subprocess
 
     zrot = _kernels._zrot
@@ -87,15 +91,18 @@ def _load():
             or sys.version_info >= (3, 14)):  # 3.14 changed complex * float
         return None
     try:
+        # the zdotc of the OpenBLAS that holds zrot, and that numpy.vdot calls
+        zdotc = ctypes.PyDLL(_umath_linalg.__file__).scipy_cblas_zdotc_sub64_
         sweep = ctypes.PyDLL(str(_build())).structnorm_sweep
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    sweep.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                      ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                      ctypes.c_double, ctypes.c_void_p]
+    sweep.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                      ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                      ctypes.c_int64, ctypes.c_double, ctypes.c_void_p,
+                      ctypes.c_void_p, ctypes.c_void_p]
     sweep.restype = ctypes.c_int64
-    address = ctypes.cast(zrot, ctypes.c_void_p).value
-    return lambda *args: sweep(address, *args)
+    blas = [ctypes.cast(f, ctypes.c_void_p).value for f in (zrot, zdotc)]
+    return lambda *args: sweep(*blas, *args)
 
 
 def pivot_codes(pivots, n: int) -> np.ndarray | None:
@@ -109,12 +116,15 @@ def pivot_codes(pivots, n: int) -> np.ndarray | None:
     return codes if len(codes) == n * n else None
 
 
-def run(a, z, codes, phi_skip):
+def run(a, z, codes, phi_skip, trace):
     """One sweep of ``a`` and ``z`` in C over the pivot codes of n^2 pivots
     at half-dimension n.
 
-    Returns (visits, sweep gain), the gain None where the angle solve of the
-    last visit overflowed; or None, having touched nothing, where the C
+    Returns (visits, sweep gain, rows), the gain None where the angle solve
+    of the last visit overflowed, and the rows, with the trace on, an array
+    of one row per recorded visit: phi, alpha, the diagonal and the
+    off-diagonal weight of ``a`` after it, and 1.0 where it was skipped, else
+    0.0 (None with the trace off); or None, having touched nothing, where the C
     cannot serve: ``a`` and ``z`` are not writable, C-contiguous, square
     complex128 arrays of one shape, the codes are None or do not number n^2
     for a 2n x 2n ``a`` (so the C never indexes past ``a`` or ``z``), or the
@@ -133,7 +143,14 @@ def run(a, z, codes, phi_skip):
     sweep = lib
     if sweep is None:
         return None
-    gain = ctypes.c_double()
-    visits = sweep(a.shape[0], ctypes.addressof(abuf), ctypes.addressof(zbuf),
-                   codes.ctypes.data, len(codes), phi_skip, ctypes.byref(gain))
-    return (visits, gain.value) if visits >= 0 else (-visits, None)
+    m, count, gain = a.shape[0], len(codes), ctypes.c_double()
+    # with the trace on, the rows, and room for a's diagonal while it is zeroed
+    rows, diag = ((np.empty((count, 5)), np.empty(m, np.complex128)) if trace
+                  else (None, None))
+    visits = sweep(m, ctypes.addressof(abuf), ctypes.addressof(zbuf),
+                   codes.ctypes.data, count, phi_skip, ctypes.byref(gain),
+                   rows.ctypes.data if trace else None,
+                   diag.ctypes.data if trace else None)
+    if visits < 0:  # no record of the visit that overflowed
+        return -visits, None, None if rows is None else rows[:-visits - 1]
+    return visits, gain.value, rows

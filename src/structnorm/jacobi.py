@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import count
 from numbers import Integral, Real
 
 import numpy as np
@@ -31,16 +32,6 @@ from .structures import (StructureTag, check_structure, diag_norm_sq,
                          frob_norm, offdiag_norm_sq)
 
 PHI_SKIP = 1e-15  # rotations this small are recorded but not applied
-
-# every binding the Python sweep reaches, as (namespace, name, the library's
-# own): the compiled sweep stands in for it only while each is still the
-# library's own (the tracer replaces them)
-_OWN = tuple((names, name, names[name]) for names, listed in (
-    (globals(), ("solve_angles", "solve_angles_fixed_alpha", "planes",
-                 "apply_similarity", "apply_right")),
-    (vars(_kernels), ("plane_similarity", "rotate_cols", "_zrot")))
-    for name in listed)
-
 
 class StructureError(ValueError):
     """Input matrix fails its structure check."""
@@ -169,9 +160,9 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
     the sweep.  An accepted input cannot trip this check: ||A||_F^2 is
     finite, every rotation is unitary and a NaN gain gives the identity.
 
-    With the trace and the eta rule off, the sweep runs in C where it can
-    (``_compiled_sweep``), to the same state bit for bit; ``_python_sweep``
-    is the reference, and runs in every other case.
+    With the eta rule off, the sweep runs in C where it can
+    (``_compiled_sweep``), to the same state and trace bit for bit;
+    ``_python_sweep`` is the reference, and runs in every other case.
     """
     a = state.a
     sweep_gain = _compiled_sweep(state, config)
@@ -186,19 +177,28 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
 
 def _compiled_sweep(state, config):
     """The sweep run by ``_sweep`` over ``state.pivots``, its gain; None, with
-    nothing done, where the trace or the eta rule is on, a binding of
-    ``_OWN`` was replaced, or ``_sweep`` refuses the pivots or the arrays.
-    Z takes each applied rotation's planes as it is applied, in the order of
-    ``_python_sweep``'s one call."""
-    if (config.trace or config.skip_rule
+    nothing done, where the eta rule is on, a binding of ``_OWN`` was
+    replaced, or ``_sweep`` refuses the pivots or the arrays.  Z takes each
+    applied rotation's planes as it is applied, in the order of
+    ``_python_sweep``'s one call.  With the trace on, the C's rows become the
+    records ``_record`` appends, up to the visit whose angle solve
+    overflowed, if one did."""
+    if (config.skip_rule
             or any(names[name] is not own for names, name, own in _OWN)):
         return None
     if state.codes is None:
         state.codes = _sweep.pivot_codes(state.pivots, state.a.shape[0] // 2)
-    done = _sweep.run(state.a, state.z, state.codes, PHI_SKIP)
+    done = _sweep.run(state.a, state.z, state.codes, PHI_SKIP, config.trace)
     if done is None:
         return None
-    visits, sweep_gain = done
+    visits, sweep_gain, rows = done
+    if rows is not None:
+        sweep = state.sweep + 1
+        state.trace += [
+            TraceRecord(sweep, step, kind.value, i, j, phi, alpha, diag,
+                        offdiag, skipped != 0.0)
+            for step, (kind, i, j), (phi, alpha, diag, offdiag, skipped)
+            in zip(count(state.step + 1), state.pivots, rows.tolist())]
     state.step += visits
     if sweep_gain is None:  # where the Python angle solve raises
         raise OverflowError("math range error")
@@ -254,6 +254,17 @@ def _record(state, kind, i, j, phi, alpha, skipped, weights):
                                    j, phi, alpha, weights[0], weights[1],
                                    skipped))
     return weights
+
+
+# every binding the Python sweep reaches, as (namespace, name, the library's
+# own), here as it lists ``_record``: the compiled sweep stands in for it
+# only while each is still the library's own (the tracer replaces them)
+_OWN = tuple((names, name, names[name]) for names, listed in (
+    (globals(), ("solve_angles", "solve_angles_fixed_alpha", "planes",
+                 "apply_similarity", "apply_right", "diag_norm_sq",
+                 "offdiag_norm_sq", "_record")),
+    (vars(_kernels), ("plane_similarity", "rotate_cols", "_zrot")))
+    for name in listed)
 
 
 def iterate(a: np.ndarray, tag: StructureTag,

@@ -24,6 +24,21 @@ def rotate_cols(a, planes):
                            for p, q, c, s in planes])
 '''
 
+# appended to the copy's __init__.py: sn.solve, which only normal-converge
+# calls, returns its first trace record's diagonal weight one ulp larger
+_PERTURB_TRACE = '''
+
+_exact_solve = solve
+
+
+def solve(a, tag, config=None):
+    result = _exact_solve(a, tag, config)
+    first = result.trace[0]
+    result.trace[0] = first._replace(
+        diag_norm_sq=math.nextafter(first.diag_norm_sq, math.inf))
+    return result
+'''
+
 
 def _compare(tree_a, tree_b):
     return subprocess.run(
@@ -112,6 +127,24 @@ def test_one_ulp_in_rotate_cols_is_caught(tmp_path):
     assert [line for line in run.stdout.splitlines() if " code lines" in line][:-1] == [
         f"src/structnorm/_kernels.py: {a[0]} -> {b[0]} lines, "
         f"{a[1]} -> {b[1]} code lines"]
+
+
+def test_one_ulp_in_a_trace_weight_is_caught(tmp_path):
+    # the fingerprint of normal-converge is X and the distance; the result's
+    # trace is hashed with it
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    init = tmp_path / "src" / "structnorm" / "__init__.py"
+    init.write_text("import math\n" + init.read_text() + _PERTURB_TRACE)
+    run = _compare(ROOT, tmp_path)
+    assert run.returncode == 1, run.stdout + run.stderr
+    verdicts = {}  # per workload, the verdicts of its operations
+    for line in run.stdout.splitlines():
+        if line.startswith(("same ", "DIFF ")):
+            verdict, workload = line.split()[:2]
+            verdicts.setdefault(workload, set()).add(verdict)
+    assert verdicts == {"figures": {"same"}, "normal-converge": {"DIFF"},
+                        "cli-pipeline": {"same"}}
 
 
 def _load_tool():

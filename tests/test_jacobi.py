@@ -643,13 +643,19 @@ def _count_python_sweeps(mp):
     return ran
 
 
+def _records(trace):
+    """The trace records as the repr of each field, which tells every bit of
+    a float apart, -0.0 from 0.0 and a bool from a float."""
+    return [tuple(map(repr, record)) for record in trace]
+
+
 def _sweeps(a, tag, config):
-    """(a, z, sweep_gain, step) after each sweep of ``iterate``, and the
-    sweeps the Python body ran."""
+    """(a, z, sweep_gain, step, trace records) after each sweep of
+    ``iterate``, and the sweeps the Python body ran."""
     with pytest.MonkeyPatch.context() as mp:
         ran = _count_python_sweeps(mp)
-        states = [(s.a.tobytes(), s.z.tobytes(), s.sweep_gain, s.step)
-                  for s in sn.iterate(a, tag, config)]
+        states = [(s.a.tobytes(), s.z.tobytes(), s.sweep_gain, s.step,
+                   _records(s.trace)) for s in sn.iterate(a, tag, config)]
     return states, ran
 
 
@@ -666,14 +672,16 @@ INPUTS = {
 @given(tag=st.sampled_from(TAGS), n=st.integers(min_value=1, max_value=8),
        seed=st.integers(min_value=0, max_value=10_000),
        ordering=st.sampled_from(["O1", "O2"]), form=st.sampled_from(list(INPUTS)),
-       k=st.sampled_from([0, -300, 300]))
+       k=st.sampled_from([0, -300, 300]), trace=st.booleans())
 def test_the_compiled_sweep_is_bitwise_the_python_sweep(compiled, tag, n, seed,
-                                                        ordering, form, k):
+                                                        ordering, form, k, trace):
     # normal inputs converge within the 6 sweeps, so the PHI_SKIP and
-    # trivial paths are taken too
+    # trivial paths are taken too; with the trace on, every record of the
+    # two paths is equal too
     a = INPUTS[form](tag, n, seed) * 2.0 ** k
-    config = sn.SolverConfig(ordering=ordering, max_sweeps=6, trace=False)
+    config = sn.SolverConfig(ordering=ordering, max_sweeps=6, trace=trace)
     got, ran = _sweeps(a, tag, config)
+    assert all((records != []) == trace for *_, records in got)
     assert ran == []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_sweep, "lib", None)
@@ -682,20 +690,22 @@ def test_the_compiled_sweep_is_bitwise_the_python_sweep(compiled, tag, n, seed,
     assert got == want
 
 
+WEIGHTS = ("diag_norm_sq", "offdiag_norm_sq", "_record")  # called with the trace on
 GUARDED = ([(jacobi, name) for name in (
     "solve_angles", "solve_angles_fixed_alpha", "planes",
-    "apply_similarity", "apply_right")]
+    "apply_similarity", "apply_right", *WEIGHTS)]
     + [(_kernels, name) for name in ("plane_similarity", "rotate_cols", "_zrot")])
 
 
+@pytest.mark.parametrize("trace", [False, True])
 @pytest.mark.parametrize("module, name", GUARDED + [(_sweep, "lib")],
                          ids=lambda v: getattr(v, "__name__", v))
-def test_a_replaced_binding_runs_the_python_body(compiled, module, name):
+def test_a_replaced_binding_runs_the_python_body(compiled, module, name, trace):
     # the stand-in is the library's function, counted: the Python body then
     # computes the same bits, and the C path would call none of them
     tag = sn.StructureTag.PER_HERMITIAN
     a = sn.gen_structured(tag, 3, 8)
-    config = sn.SolverConfig(max_sweeps=3, trace=False)
+    config = sn.SolverConfig(max_sweeps=3, trace=trace)
     want, ran = _sweeps(a, tag, config)
     assert ran == []
     original, calls = getattr(module, name), []
@@ -709,7 +719,7 @@ def test_a_replaced_binding_runs_the_python_body(compiled, module, name):
         got, ran = _sweeps(a, tag, config)
     assert ran == [1, 2, 3]
     assert got == want
-    assert (calls == []) == (name == "lib")
+    assert (calls == []) == (name == "lib" or not trace and name in WEIGHTS)
 
 
 def test_the_guarded_bindings_are_the_ones_own_lists():
@@ -827,25 +837,29 @@ def test_a_read_only_array_runs_the_python_body(compiled, monkeypatch, which):
     assert ran == [2]
 
 
-@pytest.mark.parametrize("r, c", [(0, 1), (2, 3), (0, 2)])
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("r, c, visit", [(0, 1, 1), (2, 3, 2), (0, 2, 1)])
 def test_an_angle_solve_that_overflows_raises_as_the_python_body_does(
-        compiled, monkeypatch, r, c):
+        compiled, monkeypatch, r, c, visit, trace):
     # entries near the largest double, written into the iterate between
     # sweeps, make a pivot's gain overflow: both paths stop at that visit
-    # with the same error, step, iterate and Z
+    # with the same error, step, iterate, Z and records, none for that visit
+    # (at visit 1, none for its sweep)
     tag = sn.StructureTag.HAMILTONIAN
     ran = _count_python_sweeps(monkeypatch)
     results = []
     for lib in (_sweep.lib, None):
         monkeypatch.setattr(_sweep, "lib", lib)
         states = sn.iterate(sn.gen_structured(tag, 2, 3), tag,
-                            sn.SolverConfig(trace=False))
+                            sn.SolverConfig(trace=trace))
         state = next(states)
         state.a[r, r] = state.a[c, c] = 1e308
         state.a[r, c] = state.a[c, r] = 1e308j
         with pytest.raises(OverflowError, match="^math range error$"):
             next(states)
-        assert state.step > 4 and state.sweep == 1
-        results.append((state.step, state.a.tobytes(), state.z.tobytes()))
+        assert state.step == 4 + visit and state.sweep == 1
+        assert len(state.trace) == (3 + visit if trace else 0)
+        results.append((state.step, state.a.tobytes(), state.z.tobytes(),
+                        _records(state.trace)))
     assert ran == [1, 2]
     assert results[0] == results[1]

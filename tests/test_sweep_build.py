@@ -50,8 +50,8 @@ def _libasan():
     return path if os.path.isabs(path) and os.path.exists(path) else None
 
 
-# trace-off sweeps of every tag and both orderings, each of which must run
-# in C: the Python body is replaced by one that fails
+# sweeps of every tag, both orderings and the trace off and on, each of
+# which must run in C: the Python body is replaced by one that fails
 _SWEEP_EVERY_TAG = """\
 import sys
 from pathlib import Path
@@ -67,10 +67,13 @@ sweeps = 0
 for tag in sn.StructureTag:
     for n in (1, 2, 5, 16):
         for ordering in ("O1", "O2"):
-            config = sn.SolverConfig(ordering=ordering, max_sweeps=3,
-                                     trace=False)
-            for state in sn.iterate(sn.gen_structured(tag, n, n), tag, config):
-                sweeps += 1
+            for trace in (False, True):
+                config = sn.SolverConfig(ordering=ordering, max_sweeps=3,
+                                         trace=trace)
+                for state in sn.iterate(sn.gen_structured(tag, n, n), tag,
+                                        config):
+                    sweeps += 1
+                assert len(state.trace) == (3 * n * n if trace else 0)
 print(sweeps, "sweeps in C")
 """
 
@@ -88,7 +91,7 @@ def test_the_sweep_runs_clean_under_address_and_undefined_sanitizers(tmp_path):
     done = subprocess.run([sys.executable, "-c", _SWEEP_EVERY_TAG, str(out)],
                           capture_output=True, text=True, timeout=300, env=env)
     assert done.returncode == 0, done.stderr[-4000:]
-    assert done.stdout == f"{len(list(sn.StructureTag)) * 4 * 2 * 3} sweeps in C\n"
+    assert done.stdout == f"{len(list(sn.StructureTag)) * 4 * 2 * 2 * 3} sweeps in C\n"
 
 
 def _fail_run(error):
@@ -143,17 +146,21 @@ def test_a_build_is_cached_under_its_key_and_reused(monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == built
 
 
-def test_import_and_traced_solves_build_nothing():
-    # the library is built at the first sweep that can use it; the default
-    # solve keeps the trace on, so it runs in Python
+def test_import_and_eta_rule_solves_build_nothing():
+    # the library is built at the first sweep that can use it: the eta rule
+    # keeps a solve in Python, and the default solve, trace on, takes the C
     code = ("import structnorm as sn, structnorm._sweep as s\n"
             "assert s.lib is s._UNBUILT\n"
             "tag = sn.StructureTag.HAMILTONIAN\n"
+            "for trace in (False, True):\n"
+            "    sn.solve(sn.gen_structured(tag, 2, 0), tag,"
+            " sn.SolverConfig(trace=trace, skip_rule=True))\n"
+            "assert s.lib is s._UNBUILT\n"
             "sn.solve(sn.gen_structured(tag, 2, 0), tag)\n"
-            "sn.solve(sn.gen_structured(tag, 2, 0), tag,"
-            " sn.SolverConfig(trace=False, skip_rule=True))\n"
-            "assert s.lib is s._UNBUILT\n")
+            "print(s.lib is not s._UNBUILT, s.lib is not None)\n")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
     assert done.returncode == 0, done.stderr
+    sn.solve(sn.gen_structured(TAG, 2, 0), TAG)  # loads it here too
+    assert done.stdout == f"True {_sweep.lib is not None}\n"

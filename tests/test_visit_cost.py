@@ -16,15 +16,15 @@ def test_tiny_run_prints_every_n_and_every_part(capsys):
     assert lines[0].startswith("kernel backend ")
     assert lines[0].endswith("; each time raw / calibrated (x host_factor() of "
                              "perfbench/calibration.py)")
-    paths = ["compiled", "python"]
-    for line, (n, path) in zip(lines[1:5], [(n, path) for n in (2, 3)
-                                            for path in paths]):
+    paths = ["compiled", "python", "compiled traced", "python traced"]
+    for line, (n, path) in zip(lines[1:9], [(n, path) for n in (2, 3)
+                                            for path in paths], strict=True):
         cost = (r"\S+ / \S+ us per visit, \S+ / \S+ ms per sweep "
                 r"\(best of 1, 3 sweeps\)"
-                if _sweep.lib is not None or path == "python"
+                if _sweep.lib is not None or path.startswith("python")
                 else "not available")
         assert re.fullmatch(rf"n={n} {path}: {cost}", line)
-    parts = [line.split(":")[0] for line in lines[5:]]
+    parts = [line.split(":")[0] for line in lines[9:]]
     assert parts == ["n=16 solve_angles", "n=16 solve_angles_fixed_alpha",
                      "n=16 planes", "n=16 plane_similarity",
                      "n=48 read_matrix", "n=48 write_matrix"]

@@ -8,7 +8,9 @@ Each tree is a checkout with ``src/structnorm``.  For every seed, one pass of
 each workload in ``perfbench/workloads.py`` (this repository's copy, so both
 trees run the same benchmark code) is run against each tree, each tree in
 its own subprocess, the two side by side.  Every operation's output fingerprint is hashed with
-sha256 and printed with the checks it failed.  The last line sums this up as
+sha256 and printed with the checks it failed; where the operation returns a
+``NearestNormalResult``, its Z and the ``repr`` of its trace, which the
+fingerprint leaves out, are hashed with it.  The last line sums this up as
 ``N operations, D differ, F_A failed on A, F_B failed on B``, where F_A and
 F_B count the operations of each tree that failed at least one check: a
 change that moves output bits on purpose is judged by those two counts, not
@@ -101,6 +103,14 @@ def _size_line(name: str, a: tuple[int, int], b: tuple[int, int]) -> str:
     return f"{name}: {a[0]} -> {b[0]} lines, {a[1]} -> {b[1]} code lines"
 
 
+def _result_bytes(sn, raw) -> bytes:
+    """Z and the trace records of a solve's result, each float by its repr,
+    so every bit counts; b"" for any other output."""
+    if not isinstance(raw, sn.NearestNormalResult):
+        return b""
+    return raw.z.tobytes() + repr(raw.trace).encode()
+
+
 def run_tree(tree: Path, seeds: list[int]) -> list[dict]:
     """One pass of every workload per seed against ``tree``, as records.
 
@@ -123,8 +133,10 @@ def run_tree(tree: Path, seeds: list[int]) -> list[dict]:
                 ctx: dict = {}
                 for op in work.ops():
                     try:
-                        outcome = op.check(op.execute(), ctx)
-                        digest = hashlib.sha256(outcome.fingerprint).hexdigest()
+                        raw = op.execute()
+                        outcome = op.check(raw, ctx)
+                        digest = hashlib.sha256(
+                            outcome.fingerprint + _result_bytes(sn, raw)).hexdigest()
                         problems = outcome.problems
                     except Exception as exc:  # a failed operation, not a failed run
                         digest, problems = "-", [f"raised {exc!r}"]

@@ -5,12 +5,13 @@ Run from the repository root, against the tree on ``PYTHONPATH``:
     PYTHONPATH=src python3 tools/visit_cost.py
 
 For each half-dimension n (``--n``, default 4, 8, 16, 25, 48, 64) it runs
-``jacobi.iterate`` on ``gen_structured(HAMILTONIAN, n, 0)`` with the trace
-off, over 3 sweeps (2 at n >= 48), and takes the best of ``--repeat`` runs
-(default 5).  It prints the time per pivot visit (n^2 visits per sweep) and
-per sweep twice: for the compiled sweep (``_sweep``; "not available" where
-it cannot be built), then for the Python reference, with ``_sweep.lib`` set
-to None.  Then, at n = 16, it prints the ``timeit`` minimum per call, over
+``jacobi.iterate`` on ``gen_structured(HAMILTONIAN, n, 0)`` over 3 sweeps (2
+at n >= 48), and takes the best of ``--repeat`` runs (default 5).  It prints
+the time per pivot visit (n^2 visits per sweep) and per sweep four times:
+with the trace off, for the compiled sweep (``_sweep``; "not available"
+where it cannot be built), then for the Python reference, with ``_sweep.lib``
+set to None; then both again with the trace on ("compiled traced" and
+"python traced").  Then, at n = 16, it prints the ``timeit`` minimum per call, over
 ``--repeat`` rounds of about 2000 calls, of:
 
 * ``solve_angles`` and ``solve_angles_fixed_alpha`` (at alpha = 0), each
@@ -63,12 +64,13 @@ def best_of(repeat: int, measure) -> tuple[float, float]:
     return best, best * factor
 
 
-def sweep_cost(n: int, repeat: int) -> tuple[int, tuple[float, float]]:
+def sweep_cost(n: int, repeat: int,
+               trace: bool = False) -> tuple[int, tuple[float, float]]:
     """(sweeps, ``best_of`` seconds) of ``iterate`` from
-    gen_structured(HAMILTONIAN, n, 0), trace off."""
+    gen_structured(HAMILTONIAN, n, 0), the trace on or off."""
     a = gen_structured(StructureTag.HAMILTONIAN, n, 0)
     sweeps = 2 if n >= 48 else 3
-    config = jacobi.SolverConfig(max_sweeps=sweeps, trace=False)
+    config = jacobi.SolverConfig(max_sweeps=sweeps, trace=trace)
 
     def measure():
         start = time.perf_counter()
@@ -79,11 +81,12 @@ def sweep_cost(n: int, repeat: int) -> tuple[int, tuple[float, float]]:
     return sweeps, best_of(repeat, measure)
 
 
-def python_sweep_cost(n: int, repeat: int) -> tuple[int, tuple[float, float]]:
+def python_sweep_cost(n: int, repeat: int,
+                      trace: bool = False) -> tuple[int, tuple[float, float]]:
     """``sweep_cost`` of the Python reference: the library global set to None."""
     lib, _sweep.lib = _sweep.lib, None
     try:
-        return sweep_cost(n, repeat)
+        return sweep_cost(n, repeat, trace)
     finally:
         _sweep.lib = lib
 
@@ -150,9 +153,11 @@ def main(argv=None) -> int:
           f"time raw / calibrated (x host_factor() of perfbench/calibration.py)")
     sweep_cost(1, 1)  # builds the compiled sweep, if it can be, untimed
     for n in args.n:
-        compiled = sweep_cost(n, args.repeat)
-        costs = {"compiled": compiled if _sweep.lib is not None else None,
-                 "python": python_sweep_cost(n, args.repeat)}
+        costs = {}
+        for trace, label in ((False, ""), (True, " traced")):
+            compiled = sweep_cost(n, args.repeat, trace)
+            costs[f"compiled{label}"] = compiled if _sweep.lib is not None else None
+            costs[f"python{label}"] = python_sweep_cost(n, args.repeat, trace)
         for path, cost in costs.items():
             if cost is None:
                 print(f"n={n} {path}: not available")
