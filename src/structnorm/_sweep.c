@@ -12,11 +12,14 @@
  *   - x ** 2 is py_sq, CPython's float power, which takes libm pow of |x|;
  *     -fno-builtin keeps gcc from folding pow(x, 2.0) into x * x;
  *   - max is CPython's: the first item, replaced only by a later one > it;
- *   - math.frexp, math.ldexp and math.atan2 keep CPython's special cases;
  *   - complex * float widens the float to (x, 0.0), as before CPython 3.14;
  *   - each weight is numpy's vdot sum, 0.0 + re(zdotc), over the operands
  *     numpy hands zdotc: the diagonal in place, with stride m + 1, and the
  *     whole matrix with its diagonal zeroed, with stride 1.
+ * _sweep.run hands it only an iterate with ||A||_F^2 < 2^1023, so every
+ * entry is finite, no gain reaches the double range's end, and libm's
+ * frexp, ldexp and atan2 return what math.frexp, math.ldexp and math.atan2
+ * do: none of CPython's special cases, nor its OverflowError, can arise.
  */
 #include <math.h>
 #include <stddef.h>
@@ -34,11 +37,11 @@ typedef void zdotc_fn(int64_t n, const double *x, int64_t incx,
 
 static const double SCALE_LO = 0x1p-32, SCALE_HI = 0x1p32; /* angles._SCALE_* */
 
-/* x ** 2: a NaN as it is, else libm pow of |x| (it cannot overflow here,
-   as no part squared exceeds 2^66) */
+/* x ** 2: libm pow of |x| (it cannot overflow here, as no part squared
+   exceeds 2^66) */
 static double py_sq(double x)
 {
-    return isnan(x) ? x : pow(fabs(x), 2.0);
+    return pow(fabs(x), 2.0);
 }
 
 /* max(v[0], ..., v[count - 1]) */
@@ -51,64 +54,25 @@ static double py_max(const double *v, int count)
     return m;
 }
 
-/* math.frexp(x)[1]: 0 for a NaN, an infinity or zero */
-static int py_frexp_exp(double x)
-{
-    int e = 0;
-    if (isfinite(x) && x != 0.0)
-        frexp(x, &e);
-    return e;
-}
-
-/* math.ldexp(x, e); sets *overflow where CPython raises OverflowError */
-static double py_ldexp(double x, int e, int *overflow)
-{
-    if (x == 0.0 || !isfinite(x))
-        return x;
-    double r = ldexp(x, e);
-    if (isinf(r))
-        *overflow = 1;
-    return r;
-}
-
-/* math.atan2(y, x) */
-static double py_atan2(double y, double x)
-{
-    if (isnan(x) || isnan(y))
-        return NAN;
-    if (isinf(y)) {
-        if (isinf(x))
-            return copysign(copysign(1., x) == 1. ? 0.25 * M_PI : 0.75 * M_PI, y);
-        return copysign(0.5 * M_PI, y);
-    }
-    if (isinf(x) || y == 0.)
-        return copysign(copysign(1., x) == 1. ? 0. : M_PI, y);
-    return atan2(y, x);
-}
-
 /* angles.solve_angles(entries, alpha): entries a_ii, a_ij, a_ji, a_jj, each
    (re, im); *alpha is the forced alpha where fixed, else set here.  Sets
-   *phi_out and *gain_out.  Returns 1 where CPython raises OverflowError. */
-static int solve_angles(const double *ii, const double *ij, const double *ji,
-                        const double *jj, int fixed, double *phi_out,
-                        double *alpha_io, double *gain_out)
+   *phi_out and *gain_out. */
+static void solve_angles(const double *ii, const double *ij, const double *ji,
+                         const double *jj, int fixed, double *phi_out,
+                         double *alpha_io, double *gain_out)
 {
     double x_ii = ii[0], y_ii = ii[1], x_jj = jj[0], y_jj = jj[1];
     double x_ij = ij[0], y_ij = ij[1], x_ji = ji[0], y_ji = ji[1];
-    int e = 0, overflow = 0;
+    int e = 0;
     const double parts[8] = {fabs(x_ii), fabs(y_ii), fabs(x_jj), fabs(y_jj),
                              fabs(x_ij), fabs(y_ij), fabs(x_ji), fabs(y_ji)};
     double big = py_max(parts, 8);
     if (!(SCALE_LO <= big && big <= SCALE_HI)) {
-        e = py_frexp_exp(big);
-        x_ii = py_ldexp(x_ii, -e, &overflow);
-        y_ii = py_ldexp(y_ii, -e, &overflow);
-        x_jj = py_ldexp(x_jj, -e, &overflow);
-        y_jj = py_ldexp(y_jj, -e, &overflow);
-        x_ij = py_ldexp(x_ij, -e, &overflow);
-        y_ij = py_ldexp(y_ij, -e, &overflow);
-        x_ji = py_ldexp(x_ji, -e, &overflow);
-        y_ji = py_ldexp(y_ji, -e, &overflow);
+        frexp(big, &e);
+        x_ii = ldexp(x_ii, -e), y_ii = ldexp(y_ii, -e);
+        x_jj = ldexp(x_jj, -e), y_jj = ldexp(y_jj, -e);
+        x_ij = ldexp(x_ij, -e), y_ij = ldexp(y_ij, -e);
+        x_ji = ldexp(x_ji, -e), y_ji = ldexp(y_ji, -e);
     }
     /* the five invariants */
     double dx = x_ii - x_jj, dy = y_ii - y_jj;
@@ -140,26 +104,23 @@ static int solve_angles(const double *ii, const double *ij, const double *ji,
                 break;
             f = nxt;
         }
-        alpha = 0.5 * py_atan2(4.0 * f * q + 4.0 * s1 * s2,
-                               4.0 * f * p + 2.0 * d12);
+        alpha = 0.5 * atan2(4.0 * f * q + 4.0 * s1 * s2,
+                            4.0 * f * p + 2.0 * d12);
     }
     /* the best phi at alpha */
     double pc = 2.0 * (s1 * cos(alpha) + s2 * sin(alpha));
     double qc = s3 + 2.0 * (p * cos(2 * alpha) + q * sin(2 * alpha));
-    double phi = 0.25 * py_atan2(pc, -qc);
+    double phi = 0.25 * atan2(pc, -qc);
     double s2p = sin(2 * phi);
     double gain = (pc * sin(4 * phi) + qc * 2.0 * s2p * s2p) / 4.0;
     if (!(gain > 0.0)) {
         phi = 0.0;
         gain = 0.0;
     }
-    /* g_value, and the gain, scaled back by 4**e */
-    double g0 = py_sq(x_ii) + py_sq(y_ii) + py_sq(x_jj) + py_sq(y_jj);
-    py_ldexp(g0 + gain, 2 * e, &overflow);
+    /* the gain, scaled back by 4**e */
     *phi_out = phi;
     *alpha_io = alpha;
-    *gain_out = py_ldexp(gain, 2 * e, &overflow);
-    return overflow;
+    *gain_out = ldexp(gain, 2 * e);
 }
 
 /* structures.diag_norm_sq and offdiag_norm_sq of the m x m matrix a, into
@@ -235,13 +196,11 @@ static int rotate(zrot_fn *zrot, int64_t m, double *a, double *z, int kind,
  * Where records is not NULL, row k of the count x 5 records is visit k's
  * trace record: phi, alpha, the two weights of a after it and 1.0 where it
  * was skipped, else 0.0; diag then holds m complex entries.
- * Returns count, with the sweep gain in *sweep_gain; or -(k + 1) where the
- * angle solve of visit k overflows, leaving z up to date with a and the
- * records of the visits before k. */
-int64_t structnorm_sweep(zrot_fn *zrot, zdotc_fn *zdotc, int64_t m, double *a,
-                         double *z, const int32_t *pivots, int64_t count,
-                         double phi_skip, double *sweep_gain, double *records,
-                         double *diag)
+ * Sets the sweep gain in *sweep_gain. */
+void structnorm_sweep(zrot_fn *zrot, zdotc_fn *zdotc, int64_t m, double *a,
+                      double *z, const int32_t *pivots, int64_t count,
+                      double phi_skip, double *sweep_gain, double *records,
+                      double *diag)
 {
     double gain_sum = 0.0, w[2] = {0.0, 0.0};
     int moved = 1;  /* a moved since the last record, or none was taken */
@@ -252,11 +211,10 @@ int64_t structnorm_sweep(zrot_fn *zrot, zdotc_fn *zdotc, int64_t m, double *a,
         /* SYMP_SINGLE forces alpha 0.0, PERP_SINGLE -pi / 2 */
         const int fixed = kind == 1 || kind == 4;
         double phi, alpha = kind == 4 ? -M_PI / 2 : 0.0, gain;
-        if (solve_angles(a + 2 * (p * m + p), a + 2 * (p * m + q),
-                         a + 2 * (q * m + p), a + 2 * (q * m + q), fixed,
-                         &phi, &alpha, &gain))
-            return -(k + 1);
-        const int skipped = fabs(phi) < phi_skip;  /* 0 for a NaN phi */
+        solve_angles(a + 2 * (p * m + p), a + 2 * (p * m + q),
+                     a + 2 * (q * m + p), a + 2 * (q * m + q), fixed, &phi,
+                     &alpha, &gain);
+        const int skipped = fabs(phi) < phi_skip;
         if (!skipped) {  /* a gain in each plane */
             gain_sum += gain * rotate(zrot, m, a, z, kind, i, j, phi, alpha);
             moved = 1;
@@ -271,5 +229,4 @@ int64_t structnorm_sweep(zrot_fn *zrot, zdotc_fn *zdotc, int64_t m, double *a,
         }
     }
     *sweep_gain = gain_sum;
-    return count;
 }

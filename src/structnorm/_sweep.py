@@ -7,8 +7,11 @@ statement and calls the same ``zrot`` as ``_kernels``, so it leaves the same
 bits; with the trace on it fills one row per visit, its weights summed by
 the OpenBLAS ``zdotc`` that ``numpy.vdot`` calls, on the operands that
 ``structures.diag_norm_sq`` and ``offdiag_norm_sq`` hand it, so they are the
-Python body's bits too.  The Python body stays the reference, and runs
-wherever :func:`run` returns None.
+Python body's bits too.  :func:`run` hands the C only an iterate with
+||A||_F^2 < 2^1023: every rotation is unitary, so that holds for a whole
+solve of an input below it, and there no angle solve can overflow, so the C
+keeps none of the special cases of CPython's ``math``.  The Python body
+stays the reference, and runs wherever :func:`run` returns None.
 
 The library is built at the first sweep that can use it, never at import:
 ``gcc`` with ``FLAGS``, into ``__pycache__/`` next to this file, under a name
@@ -100,7 +103,7 @@ def _load():
                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                       ctypes.c_int64, ctypes.c_double, ctypes.c_void_p,
                       ctypes.c_void_p, ctypes.c_void_p]
-    sweep.restype = ctypes.c_int64
+    sweep.restype = None
     blas = [ctypes.cast(f, ctypes.c_void_p).value for f in (zrot, zdotc)]
     return lambda *args: sweep(*blas, *args)
 
@@ -120,21 +123,22 @@ def run(a, z, codes, phi_skip, trace):
     """One sweep of ``a`` and ``z`` in C over the pivot codes of n^2 pivots
     at half-dimension n.
 
-    Returns (visits, sweep gain, rows), the gain None where the angle solve
-    of the last visit overflowed, and the rows, with the trace on, an array
-    of one row per recorded visit: phi, alpha, the diagonal and the
-    off-diagonal weight of ``a`` after it, and 1.0 where it was skipped, else
-    0.0 (None with the trace off); or None, having touched nothing, where the C
-    cannot serve: ``a`` and ``z`` are not writable, C-contiguous, square
-    complex128 arrays of one shape, the codes are None or do not number n^2
-    for a 2n x 2n ``a`` (so the C never indexes past ``a`` or ``z``), or the
-    library cannot be had.  The caller checks that no binding the sweep
+    Returns (sweep gain, rows), the rows, with the trace on, an array of one
+    row per visit: phi, alpha, the diagonal and the off-diagonal weight of
+    ``a`` after it, and 1.0 where it was skipped, else 0.0 (None with the
+    trace off); or None, having touched nothing, where the C cannot serve:
+    ``a`` and ``z`` are not writable, C-contiguous, square complex128 arrays
+    of one shape, the codes are None or do not number n^2 for a 2n x 2n
+    ``a`` (so the C never indexes past ``a`` or ``z``), ||a||_F^2 is not
+    below 2^1023 (so every entry is finite and no angle solve overflows), or
+    the library cannot be had.  The caller checks that no binding the sweep
     reaches was replaced.
     """
     global lib
     abuf, zbuf = _kernels.pin(a), _kernels.pin(z)  # the buffers pin a and z
     if (abuf is None or zbuf is None or z.shape != a.shape or codes is None
-            or len(codes) != (a.shape[0] // 2) ** 2):
+            or len(codes) != (a.shape[0] // 2) ** 2
+            or not np.vdot(a, a).real < 2.0 ** 1023):
         return None
     if lib is _UNBUILT:
         with _lock:
@@ -147,10 +151,8 @@ def run(a, z, codes, phi_skip, trace):
     # with the trace on, the rows, and room for a's diagonal while it is zeroed
     rows, diag = ((np.empty((count, 5)), np.empty(m, np.complex128)) if trace
                   else (None, None))
-    visits = sweep(m, ctypes.addressof(abuf), ctypes.addressof(zbuf),
-                   codes.ctypes.data, count, phi_skip, ctypes.byref(gain),
-                   rows.ctypes.data if trace else None,
-                   diag.ctypes.data if trace else None)
-    if visits < 0:  # no record of the visit that overflowed
-        return -visits, None, None if rows is None else rows[:-visits - 1]
-    return visits, gain.value, rows
+    sweep(m, ctypes.addressof(abuf), ctypes.addressof(zbuf), codes.ctypes.data,
+          count, phi_skip, ctypes.byref(gain),
+          rows.ctypes.data if trace else None,
+          diag.ctypes.data if trace else None)
+    return gain.value, rows

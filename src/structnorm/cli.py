@@ -311,7 +311,9 @@ def main(argv=None) -> int:
     except jacobi.StructureError as exc:  # a ValueError: caught first
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, ArithmeticError) as exc:  # NonFiniteError is one
+    except (OSError, ValueError, ArithmeticError, MemoryError) as exc:
+        # NonFiniteError is an ArithmeticError; a MemoryError, a size too
+        # large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

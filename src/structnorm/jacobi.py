@@ -160,9 +160,10 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
     the sweep.  An accepted input cannot trip this check: ||A||_F^2 is
     finite, every rotation is unitary and a NaN gain gives the identity.
 
-    With the eta rule off, the sweep runs in C where it can
-    (``_compiled_sweep``), to the same state and trace bit for bit;
-    ``_python_sweep`` is the reference, and runs in every other case.
+    With the eta rule off and ||A||_F^2 < 2^1023, the sweep runs in C where
+    it can (``_compiled_sweep``), to the same state and trace bit for bit;
+    ``_python_sweep`` is the reference, and runs in every other case, so an
+    angle solve that overflows raises OverflowError from it.
     """
     a = state.a
     sweep_gain = _compiled_sweep(state, config)
@@ -178,11 +179,10 @@ def sweep_once(state: JacobiState, tag: StructureTag, config: SolverConfig) -> J
 def _compiled_sweep(state, config):
     """The sweep run by ``_sweep`` over ``state.pivots``, its gain; None, with
     nothing done, where the eta rule is on, a binding of ``_OWN`` was
-    replaced, or ``_sweep`` refuses the pivots or the arrays.  Z takes each
-    applied rotation's planes as it is applied, in the order of
-    ``_python_sweep``'s one call.  With the trace on, the C's rows become the
-    records ``_record`` appends, up to the visit whose angle solve
-    overflowed, if one did."""
+    replaced, or ``_sweep`` refuses the pivots, the arrays or an iterate
+    with ||A||_F^2 of 2^1023 or more.  Z takes each applied rotation's planes
+    as it is applied, in the order of ``_python_sweep``'s one call.  With the
+    trace on, the C's rows become the records ``_record`` appends."""
     if (config.skip_rule
             or any(names[name] is not own for names, name, own in _OWN)):
         return None
@@ -191,7 +191,7 @@ def _compiled_sweep(state, config):
     done = _sweep.run(state.a, state.z, state.codes, PHI_SKIP, config.trace)
     if done is None:
         return None
-    visits, sweep_gain, rows = done
+    sweep_gain, rows = done
     if rows is not None:
         sweep = state.sweep + 1
         state.trace += [
@@ -199,9 +199,7 @@ def _compiled_sweep(state, config):
                         offdiag, skipped != 0.0)
             for step, (kind, i, j), (phi, alpha, diag, offdiag, skipped)
             in zip(count(state.step + 1), state.pivots, rows.tolist())]
-    state.step += visits
-    if sweep_gain is None:  # where the Python angle solve raises
-        raise OverflowError("math range error")
+    state.step += len(state.pivots)
     return sweep_gain
 
 

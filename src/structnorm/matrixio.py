@@ -43,6 +43,8 @@ def write_matrix(path, a: np.ndarray) -> None:
     if a.ndim != 2:
         raise ValueError("matrix must be 2-dimensional")
     rows, cols = a.shape
+    if not rows or not cols:  # read_matrix rejects a zero dimension
+        raise ValueError(f"matrix must not be empty ({rows}x{cols})")
     column = "%.17g %.17g\n" * rows
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{_MAGIC} {_VERSION} {rows} {cols} complex\n")

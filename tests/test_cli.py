@@ -519,6 +519,20 @@ def test_huge_declared_size_exits_2(tmp_path, capsys):
     assert "truncated after 1 entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen", "experiment"])
+def test_a_size_that_cannot_be_allocated_exits_2(tmp_path, capsys, command):
+    # numpy refuses a 10^9 x 10^9 block before allocating any of it: exit 2
+    # with one error line, not exit 1 ("residual above tolerance")
+    argv = {"gen": ["gen", "--structure", "hamiltonian", "--n", "1000000000",
+                    "--out", str(tmp_path / "x.mat")],
+            "experiment": ["experiment", "--figure", "1", "--n", "1000000000",
+                           "--out-dir", str(tmp_path / "d")]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert not (tmp_path / "x.mat").exists()
+
+
 def test_trace_bytes_equal_the_f_string_writer(tmp_path):
     # the trace's one-f-string-per-row form; _write_trace must match it
     # byte for byte, for applied, eta-skipped and PHI_SKIP-skipped records

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import structnorm as sn
@@ -668,17 +668,31 @@ INPUTS = {
 }
 
 
+def _scaled_into(a, top):
+    """``a`` times the power of two that puts ||A||_F^2 in [2^(top - 1),
+    2^top), or None where no power of two does (its square moves the
+    exponent by an even step) or ``a`` is zero."""
+    norm_sq = np.vdot(a, a).real
+    e = math.frexp(norm_sq)[1]  # norm_sq in [2^(e - 1), 2^e)
+    if norm_sq == 0.0 or (top - e) % 2:
+        return None
+    return a * 2.0 ** ((top - e) // 2)
+
+
 @settings(max_examples=100, deadline=None)
 @given(tag=st.sampled_from(TAGS), n=st.integers(min_value=1, max_value=8),
        seed=st.integers(min_value=0, max_value=10_000),
        ordering=st.sampled_from(["O1", "O2"]), form=st.sampled_from(list(INPUTS)),
-       k=st.sampled_from([0, -300, 300]), trace=st.booleans())
+       k=st.sampled_from([0, -300, 300, "top"]), trace=st.booleans())
 def test_the_compiled_sweep_is_bitwise_the_python_sweep(compiled, tag, n, seed,
                                                         ordering, form, k, trace):
     # normal inputs converge within the 6 sweeps, so the PHI_SKIP and
     # trivial paths are taken too; with the trace on, every record of the
-    # two paths is equal too
-    a = INPUTS[form](tag, n, seed) * 2.0 ** k
+    # two paths is equal too.  "top" puts ||A||_F^2 in [2^1022, 2^1023),
+    # the top binade the C serves, where every angle solve rescales.
+    a = INPUTS[form](tag, n, seed)
+    a = _scaled_into(a, 1023) if k == "top" else a * 2.0 ** k
+    assume(a is not None)
     config = sn.SolverConfig(ordering=ordering, max_sweeps=6, trace=trace)
     got, ran = _sweeps(a, tag, config)
     assert all((records != []) == trace for *_, records in got)
@@ -687,6 +701,23 @@ def test_the_compiled_sweep_is_bitwise_the_python_sweep(compiled, tag, n, seed,
         mp.setattr(_sweep, "lib", None)
         want, ran = _sweeps(a, tag, config)
     assert ran == [1, 2, 3, 4, 5, 6]
+    assert got == want
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_an_iterate_with_squared_norm_from_2_1023_runs_the_python_body(
+        compiled, trace):
+    # the C serves only ||A||_F^2 < 2^1023, below which no angle solve can
+    # overflow; an accepted input above it runs every sweep in Python
+    tag = sn.StructureTag.HAMILTONIAN
+    a = _scaled_into(sn.gen_structured(tag, 3, 0), 1024)
+    assert math.frexp(np.vdot(a, a).real)[1] == 1024  # in [2^1023, 2^1024)
+    config = sn.SolverConfig(max_sweeps=6, trace=trace)
+    got, ran = _sweeps(a, tag, config)
+    assert ran == [1, 2, 3, 4, 5, 6]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_sweep, "lib", None)
+        want, _ = _sweeps(a, tag, config)
     assert got == want
 
 
@@ -842,9 +873,10 @@ def test_a_read_only_array_runs_the_python_body(compiled, monkeypatch, which):
 def test_an_angle_solve_that_overflows_raises_as_the_python_body_does(
         compiled, monkeypatch, r, c, visit, trace):
     # entries near the largest double, written into the iterate between
-    # sweeps, make a pivot's gain overflow: both paths stop at that visit
-    # with the same error, step, iterate, Z and records, none for that visit
-    # (at visit 1, none for its sweep)
+    # sweeps, make a pivot's gain overflow.  ||A||_F^2 is then above 2^1023,
+    # so the C refuses that sweep and the Python body runs it: both runs
+    # stop at that visit with the same error, step, iterate, Z and records,
+    # none for that visit (at visit 1, none for its sweep)
     tag = sn.StructureTag.HAMILTONIAN
     ran = _count_python_sweeps(monkeypatch)
     results = []
@@ -861,5 +893,5 @@ def test_an_angle_solve_that_overflows_raises_as_the_python_body_does(
         assert len(state.trace) == (3 + visit if trace else 0)
         results.append((state.step, state.a.tobytes(), state.z.tobytes(),
                         _records(state.trace)))
-    assert ran == [1, 2]
+    assert ran == [2, 1, 2]
     assert results[0] == results[1]

@@ -37,6 +37,15 @@ def test_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_writer_rejects_a_zero_dimension_before_opening(tmp_path, shape):
+    # the reader rejects such a header as "bad dimensions"
+    path = tmp_path / "m.mat"
+    with pytest.raises(ValueError, match=r"^matrix must not be empty \(\d+x\d+\)$"):
+        sn.write_matrix(path, np.zeros(shape))
+    assert not path.exists()
+
+
 def test_round_trip_awkward_values(tmp_path):
     a = np.array([[0.0, -0.0 + 1j * 2 ** -1074],
                   [1e308 + 1e-308j, -1.7976931348623157e308 + 0j]])

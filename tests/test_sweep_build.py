@@ -51,10 +51,13 @@ def _libasan():
 
 
 # sweeps of every tag, both orderings and the trace off and on, each of
-# which must run in C: the Python body is replaced by one that fails
+# which must run in C: the Python body is replaced by one that fails.  Each
+# input is also swept times 2^-300 and 2^300, and scaled to ||A||_F^2 just
+# under 2^1023, the largest the C serves, so every angle solve rescales.
 _SWEEP_EVERY_TAG = """\
 import sys
 from pathlib import Path
+import numpy as np
 import structnorm as sn
 from structnorm import _sweep, jacobi
 _sweep._build = lambda: Path(sys.argv[1])
@@ -66,14 +69,16 @@ jacobi._python_sweep = python_sweep
 sweeps = 0
 for tag in sn.StructureTag:
     for n in (1, 2, 5, 16):
-        for ordering in ("O1", "O2"):
-            for trace in (False, True):
-                config = sn.SolverConfig(ordering=ordering, max_sweeps=3,
-                                         trace=trace)
-                for state in sn.iterate(sn.gen_structured(tag, n, n), tag,
-                                        config):
-                    sweeps += 1
-                assert len(state.trace) == (3 * n * n if trace else 0)
+        a = sn.gen_structured(tag, n, n)
+        top = np.sqrt((1 - 2.0 ** -20) * 2.0 ** 1023 / np.vdot(a, a).real)
+        for scale in (1.0, 2.0 ** -300, 2.0 ** 300, top):
+            for ordering in ("O1", "O2"):
+                for trace in (False, True):
+                    config = sn.SolverConfig(ordering=ordering, max_sweeps=3,
+                                             trace=trace)
+                    for state in sn.iterate(a * scale, tag, config):
+                        sweeps += 1
+                    assert len(state.trace) == (3 * n * n if trace else 0)
 print(sweeps, "sweeps in C")
 """
 
@@ -91,7 +96,8 @@ def test_the_sweep_runs_clean_under_address_and_undefined_sanitizers(tmp_path):
     done = subprocess.run([sys.executable, "-c", _SWEEP_EVERY_TAG, str(out)],
                           capture_output=True, text=True, timeout=300, env=env)
     assert done.returncode == 0, done.stderr[-4000:]
-    assert done.stdout == f"{len(list(sn.StructureTag)) * 4 * 2 * 2 * 3} sweeps in C\n"
+    sweeps = len(list(sn.StructureTag)) * 4 * 4 * 2 * 2 * 3
+    assert done.stdout == f"{sweeps} sweeps in C\n"
 
 
 def _fail_run(error):
