@@ -17,6 +17,10 @@ writing (a solve, all of its outputs; gen and experiment, the file that
 failed), and leaves a path it could not open, or a device, as it was.  The
 seed defaults to 0, or to STRUCTNORM_SEED, which must be an integer (else
 exit 2 in gen and experiment).
+
+``experiment`` states each figure once, in ``_figure``, as the files it
+writes; it makes and checks the figure's fixtures before it creates
+``--out-dir``, so a failed fixture leaves no directory behind.
 """
 from __future__ import annotations
 
@@ -146,17 +150,17 @@ def _iterates(a, tag, sweeps, ordering="O1"):
     """
     config = jacobi.SolverConfig(ordering=ordering, max_sweeps=sweeps,
                                  trace=False)
-    states = jacobi.iterate(a, tag, config)
-    return itertools.chain([a], (state.a for state in states))
+    return itertools.chain([a], (s.a for s in jacobi.iterate(a, tag, config)))
 
 
-def _write_series(path, a, tag, header_comment, ordering="O1") -> None:
-    """Per-sweep (diag, offdiag, frob) norms of 20 sweeps, sweep 0 = the input."""
-    lines = [f"# {header_comment}", "sweep,diag_norm,offdiag_norm,frob_norm"]
-    for sweep, m in enumerate(_iterates(a, tag, 20, ordering)):
-        lines.append(f"{sweep},{_fmt(diag_norm_sq(m) ** 0.5)},"
-                     f"{_fmt(offdiag_norm_sq(m) ** 0.5)},{_fmt(frob_norm(m))}")
-    _write_lines(path, lines)
+def _series(a, tag, header_comment, ordering="O1"):
+    """Lines of the per-sweep (diag, offdiag, frob) norms of 20 sweeps, sweep
+    0 = the input; A is checked at the call, and swept as the lines are read."""
+    return itertools.chain(
+        [f"# {header_comment}", "sweep,diag_norm,offdiag_norm,frob_norm"],
+        (f"{sweep},{_fmt(diag_norm_sq(m) ** 0.5)},"
+         f"{_fmt(offdiag_norm_sq(m) ** 0.5)},{_fmt(frob_norm(m))}"
+         for sweep, m in enumerate(_iterates(a, tag, 20, ordering))))
 
 
 def _skew_hamiltonian_with_real_eigenpair(n, seed, lam=1.5):
@@ -174,56 +178,49 @@ def _skew_hamiltonian_with_real_eigenpair(n, seed, lam=1.5):
     return w
 
 
+def _figure(fig, n, seed):
+    """The files of figure ``fig`` as (file name, lines) pairs, made as they
+    are read; every fixture is made, and checked by ``jacobi.iterate``, at
+    the call.  Figure 1 formats each |A_k| grid as its sweep ends."""
+    ham, skew = StructureTag.HAMILTONIAN, StructureTag.SKEW_HAMILTONIAN
+    if fig == 1:
+        return ((f"fig1_sweep{k}.csv",
+                 [",".join(_fmt(abs(v)) for v in row) for row in m])
+                for k, m in enumerate(_iterates(gen_structured(ham, n, seed), ham, 3)))
+    if fig == 3:
+        return [("fig3_no_real_eigs.csv", _series(
+                    gen_structured(skew, n, seed), skew,
+                    "fixture: random skew-hamiltonian (generic spectrum)")),
+                ("fig3_with_real_eigs.csv", _series(
+                    _skew_hamiltonian_with_real_eigenpair(n, seed + 1), skew,
+                    "fixture: random skew-hamiltonian with rows/cols 1 and n+1 "
+                    "cleared and a planted real eigenpair of value 1.5"))]
+    generic = gen_structured(ham, n, seed)
+    diagable = gen_normal_structured(ham, n, seed + 1)[0]
+    if fig == 2:
+        return [("fig2_generic.csv", _series(
+                    generic, ham, "fixture: random hamiltonian")),
+                ("fig2_diagonalizable.csv", _series(
+                    diagable, ham, "fixture: normal hamiltonian "
+                    "(diagonalizable by symplectic rotations)"))]
+    return [(f"fig4_{name}_{o.lower()}.csv",
+             _series(a, ham, f"fixture: {name} hamiltonian, ordering {o}", o))
+            for name, a in (("generic", generic), ("diagonalizable", diagable))
+            for o in ("O1", "O2")]
+
+
 def cmd_experiment(args) -> int:
+    n = _FIGURE_N[args.figure] if args.n is None else args.n
+    files = _figure(args.figure, n, args.seed)
     out = Path(args.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"cannot create {out}: {exc}") from exc
-    seed = args.seed
-    fig = args.figure
-    n = _FIGURE_N[fig] if args.n is None else args.n
-
-    if fig == 1:
-        a = gen_structured(StructureTag.HAMILTONIAN, n, seed)
-        for k, m in enumerate(_iterates(a, StructureTag.HAMILTONIAN, 3)):
-            _write_abs_grid(out / f"fig1_sweep{k}.csv", m)
-    elif fig == 2:
-        generic = gen_structured(StructureTag.HAMILTONIAN, n, seed)
-        diagable, _, _ = gen_normal_structured(StructureTag.HAMILTONIAN, n,
-                                               seed + 1)
-        _write_series(out / "fig2_generic.csv", generic, StructureTag.HAMILTONIAN,
-                      "fixture: random hamiltonian")
-        _write_series(out / "fig2_diagonalizable.csv", diagable, StructureTag.HAMILTONIAN,
-                      "fixture: normal hamiltonian (diagonalizable by symplectic rotations)")
-    elif fig == 3:
-        generic = gen_structured(StructureTag.SKEW_HAMILTONIAN, n, seed)
-        planted = _skew_hamiltonian_with_real_eigenpair(n, seed + 1)
-        _write_series(out / "fig3_no_real_eigs.csv", generic, StructureTag.SKEW_HAMILTONIAN,
-                      "fixture: random skew-hamiltonian (generic spectrum)")
-        _write_series(out / "fig3_with_real_eigs.csv", planted, StructureTag.SKEW_HAMILTONIAN,
-                      "fixture: random skew-hamiltonian with rows/cols 1 and n+1 "
-                      "cleared and a planted real eigenpair of value 1.5")
-    else:
-        generic = gen_structured(StructureTag.HAMILTONIAN, n, seed)
-        diagable, _, _ = gen_normal_structured(StructureTag.HAMILTONIAN, n,
-                                               seed + 1)
-        for name, a in (("generic", generic), ("diagonalizable", diagable)):
-            for ordering in ("O1", "O2"):
-                _write_series(
-                    out / f"fig4_{name}_{ordering.lower()}.csv", a, StructureTag.HAMILTONIAN,
-                    f"fixture: {name} hamiltonian, ordering {ordering}", ordering)
+    for name, lines in files:
+        _write_outputs([(out / name, _write_text, "\n".join(lines) + "\n")],
+                       f"cannot write {out / name}")
     return 0
-
-
-def _write_abs_grid(path, a) -> None:
-    lines = [",".join(_fmt(abs(v)) for v in row) for row in a]
-    _write_lines(path, lines)
-
-
-def _write_lines(path, lines) -> None:
-    _write_outputs([(path, _write_text, "\n".join(lines) + "\n")],
-                   f"cannot write {path}")
 
 
 def _write_text(path, text: str) -> None:

@@ -72,17 +72,18 @@ TraceRecord = namedtuple("TraceRecord", "sweep step kind i j phi alpha "
 @dataclass
 class JacobiState:
     """Current iterate A_k = Z_k^H A_0 Z_k and the accumulated Z_k, with the
-    pivot list that every sweep walks, laid out once per solve."""
+    pivots that every sweep walks, laid out once per solve."""
 
     a: np.ndarray
     z: np.ndarray
-    pivots: list = field(repr=False)  # (kind, i, j) of each visit, in order
+    pivots: tuple = field(repr=False)  # (kind, i, j) of each visit, in order
     sweep: int = 0
     step: int = 0
     sweep_gain: float = 0.0  # diagonal weight gained by the last sweep
     trace: list[TraceRecord] = field(default_factory=list)
-    # the pivots as ``_sweep.pivot_codes``, made at the first compiled sweep
-    codes: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # (pivots, their ``_sweep.pivot_codes``), made at the first compiled sweep
+    # and again where ``pivots`` is no longer the object they were made from
+    codes: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -111,11 +112,15 @@ def distance_to(a: np.ndarray, x: np.ndarray) -> float:
         return frob_norm(a - x)
 
 
-def _check_tag(tag) -> None:
-    """TypeError unless ``tag`` is a StructureTag."""
+def _check_types(tag, config) -> None:
+    """TypeError unless ``tag`` is a StructureTag and ``config`` a
+    SolverConfig."""
     if not isinstance(tag, StructureTag):
         raise TypeError(f"tag must be a StructureTag, not {type(tag).__name__} "
                         f"{tag!r} (StructureTag.from_name reads a name)")
+    if not isinstance(config, SolverConfig):
+        raise TypeError(f"config must be a SolverConfig, not "
+                        f"{type(config).__name__} {config!r}")
 
 
 def _check_input(a: np.ndarray, tag: StructureTag | None = None) -> float:
@@ -180,15 +185,17 @@ def _compiled_sweep(state, config):
     """The sweep run by ``_sweep`` over ``state.pivots``, its gain; None, with
     nothing done, where the eta rule is on, a binding of ``_OWN`` was
     replaced, or ``_sweep`` refuses the pivots, the arrays or an iterate
-    with ||A||_F^2 of 2^1023 or more.  Z takes each applied rotation's planes
+    with ||A||_F^2 of 2^1023 or more.  The codes are made again for a
+    replaced ``state.pivots``.  Z takes each applied rotation's planes
     as it is applied, in the order of ``_python_sweep``'s one call.  With the
     trace on, the C's rows become the records ``_record`` appends."""
     if (config.skip_rule
             or any(names[name] is not own for names, name, own in _OWN)):
         return None
-    if state.codes is None:
-        state.codes = _sweep.pivot_codes(state.pivots, state.a.shape[0] // 2)
-    done = _sweep.run(state.a, state.z, state.codes, PHI_SKIP, config.trace)
+    if state.codes is None or state.codes[0] is not state.pivots:
+        state.codes = state.pivots, _sweep.pivot_codes(state.pivots,
+                                                       state.a.shape[0] // 2)
+    done = _sweep.run(state.a, state.z, state.codes[1], PHI_SKIP, config.trace)
     if done is None:
         return None
     sweep_gain, rows = done
@@ -269,24 +276,23 @@ def iterate(a: np.ndarray, tag: StructureTag,
             config: SolverConfig) -> Iterator[JacobiState]:
     """Sweep a copy of A from Z = I, yielding the state after each sweep.
 
-    The tag and A are checked, and the pivot list laid out, at the call; at
-    most ``config.max_sweeps`` sweeps run (leave the loop to stop early),
-    each updating the one yielded state in place.
+    The tag, the config and A are checked, and the pivots laid out as a
+    tuple, at the call; at most ``config.max_sweeps`` sweeps run (leave the
+    loop to stop early), each updating the one yielded state in place.
     """
-    _check_tag(tag)
+    _check_types(tag, config)
     a = np.array(a, dtype=np.complex128, order="C")
     _check_input(a)
-    state = JacobiState(a=a, z=np.eye(len(a), dtype=np.complex128),
-                        pivots=pivot_set(tag.family, len(a) // 2, config.ordering))
+    pivots = tuple(pivot_set(tag.family, len(a) // 2, config.ordering))
+    state = JacobiState(a=a, z=np.eye(len(a), dtype=np.complex128), pivots=pivots)
     return (sweep_once(state, tag, config) for _ in range(config.max_sweeps))
 
 
 def solve(a: np.ndarray, tag: StructureTag,
           config: SolverConfig | None = None) -> NearestNormalResult:
     """Nearest structured normal matrix to A, with the transformation trace."""
-    _check_tag(tag)
-    if config is None:
-        config = SolverConfig()
+    config = SolverConfig() if config is None else config
+    _check_types(tag, config)
     a0 = np.asarray(a, dtype=np.complex128)
     stop = config.tol * _check_input(a0, tag)
     converged = False

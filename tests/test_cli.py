@@ -526,11 +526,11 @@ def test_a_size_that_cannot_be_allocated_exits_2(tmp_path, capsys, command):
     argv = {"gen": ["gen", "--structure", "hamiltonian", "--n", "1000000000",
                     "--out", str(tmp_path / "x.mat")],
             "experiment": ["experiment", "--figure", "1", "--n", "1000000000",
-                           "--out-dir", str(tmp_path / "d")]}[command]
+                           "--out-dir", str(tmp_path / "d" / "sub")]}[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
-    assert not (tmp_path / "x.mat").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_trace_bytes_equal_the_f_string_writer(tmp_path):
@@ -697,9 +697,24 @@ def test_bad_seed_env_is_a_usage_error_where_seed_is_used(tmp_path,
 
 
 def test_experiment_n_zero_exits_2(tmp_path, capsys):
+    # the fixtures are made before --out-dir is created: nothing is left
     assert main(["experiment", "--figure", "2", "--n", "0",
-                 "--out-dir", str(tmp_path)]) == 2
+                 "--out-dir", str(tmp_path / "exp" / "sub")]) == 2
     assert "n must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("figure, names", [
+    (1, ["fig1_sweep0.csv", "fig1_sweep1.csv", "fig1_sweep2.csv",
+         "fig1_sweep3.csv"]),
+    (2, ["fig2_diagonalizable.csv", "fig2_generic.csv"]),
+    (3, ["fig3_no_real_eigs.csv", "fig3_with_real_eigs.csv"]),
+    (4, ["fig4_diagonalizable_o1.csv", "fig4_diagonalizable_o2.csv",
+         "fig4_generic_o1.csv", "fig4_generic_o2.csv"])])
+def test_experiment_writes_each_figures_files(tmp_path, figure, names):
+    assert main(["experiment", "--figure", str(figure), "--n", "2",
+                 "--out-dir", str(tmp_path / "e")]) == 0
+    assert sorted(p.name for p in (tmp_path / "e").iterdir()) == names
 
 
 @pytest.mark.parametrize("figure, name", [(1, "fig1_sweep0.csv"),

@@ -619,6 +619,18 @@ def test_a_tag_that_is_not_a_structure_tag_is_rejected_at_the_call():
         sn.iterate(a, "hamiltonian", sn.SolverConfig())  # before the first next()
 
 
+def test_a_config_that_is_not_a_solver_config_is_rejected_at_the_call():
+    a = sn.gen_structured(sn.StructureTag.HAMILTONIAN, 2, 0)
+    tag = sn.StructureTag.HAMILTONIAN
+    with pytest.raises(TypeError, match=r"^config must be a SolverConfig, not "
+                                        r"dict \{'tol': 0\.001\}$"):
+        sn.solve(a, tag, {"tol": 1e-3})
+    with pytest.raises(TypeError, match="^config must be a SolverConfig, not "
+                                        "NoneType None$"):
+        sn.iterate(a, tag, None)  # before the first next()
+    assert sn.solve(a, tag, None).converged  # None is the defaults to solve
+
+
 # --- the compiled sweep (``_sweep``) and the Python body ---------------------
 
 @pytest.fixture(scope="module")
@@ -781,6 +793,33 @@ def test_a_replaced_pivot_set_is_called_once_and_feeds_both_sweeps(
     got, ran = _sweeps(a, tag, config)
     assert ran == [1, 2, 3] and got == want
     assert len(calls) == 2
+
+
+def test_pivots_replaced_between_sweeps_end_alike_on_both_paths(compiled):
+    # the compiled sweep codes the replaced pivots again, so it walks the
+    # same O2 pivots as the Python body from sweep 2 on
+    tag = sn.StructureTag.HAMILTONIAN
+    a = sn.gen_structured(tag, 3, 15)
+    results = []
+    for lib in (_sweep.lib, None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_sweep, "lib", lib)
+            states = sn.iterate(a, tag, sn.SolverConfig(max_sweeps=3,
+                                                        trace=False))
+            state = next(states)
+            state.pivots = sn.pivot_set(tag.family, 3, "O2")
+            for state in states:
+                pass
+        results.append((state.a.tobytes(), state.z.tobytes(),
+                        state.sweep_gain, state.step))
+    assert results[0] == results[1]
+
+
+def test_iterate_lays_out_the_pivots_as_a_tuple():
+    tag = sn.StructureTag.PER_HERMITIAN
+    state = next(sn.iterate(sn.gen_structured(tag, 2, 0), tag,
+                            sn.SolverConfig(max_sweeps=1)))
+    assert state.pivots == tuple(sn.pivot_set(tag.family, 2))
 
 
 @pytest.mark.parametrize("edit", ["short", "off the set"])

@@ -27,6 +27,7 @@ def test_tiny_run_prints_every_n_and_every_part(capsys):
     parts = [line.split(":")[0] for line in lines[9:]]
     assert parts == ["n=16 solve_angles", "n=16 solve_angles_fixed_alpha",
                      "n=16 planes", "n=16 plane_similarity",
+                     "n=16 pivot_set", "n=16 pivot_codes",
                      "n=48 read_matrix", "n=48 write_matrix"]
     for line in lines[1:]:
         if line.endswith("not available"):

@@ -17,7 +17,9 @@ set to None; then both again with the trace on ("compiled traced" and
 * ``solve_angles`` and ``solve_angles_fixed_alpha`` (at alpha = 0), each
   over the entries of every pivot of the start matrix in turn;
 * ``rotations.planes`` of every pivot, at phi = 0.3 and alpha = 0.2;
-* ``_kernels.plane_similarity`` of the first double rotation of the sweep.
+* ``_kernels.plane_similarity`` of the first double rotation of the sweep;
+* ``rotations.pivot_set`` and ``_sweep.pivot_codes``, the pivot layout each
+  solve makes once (its list, and the codes the compiled sweep walks).
 
 Last, at n = 48 (the size of the ``cli-pipeline`` benchmark's files), it
 prints the ``timeit`` minimum per call, in ms, over ``--repeat`` rounds of
@@ -106,7 +108,9 @@ def part_costs(n: int, repeat: int, number: int) -> dict[str, tuple[float, float
              "solve_angles": angles.solve_angles,
              "solve_angles_fixed_alpha": angles.solve_angles_fixed_alpha,
              "planes": rotations.planes,
-             "plane_similarity": _kernels.plane_similarity}
+             "plane_similarity": _kernels.plane_similarity,
+             "pivot_set": rotations.pivot_set, "pivot_codes": _sweep.pivot_codes,
+             "family": StructureTag.HAMILTONIAN.family}
     # each statement, and the calls it makes
     statements = {
         "solve_angles": ("for e in entries: solve_angles(e)", len(entries)),
@@ -115,6 +119,8 @@ def part_costs(n: int, repeat: int, number: int) -> dict[str, tuple[float, float
         "planes": ("for kind, i, j in pivots: planes(kind, i, j, 0.3, 0.2, n)",
                    len(pivots)),
         "plane_similarity": ("plane_similarity(a, rotation)", 1),
+        "pivot_set": ("pivot_set(family, n)", 1),
+        "pivot_codes": ("pivot_codes(pivots, n)", 1),
     }
     costs = {}
     for name, (statement, calls) in statements.items():
